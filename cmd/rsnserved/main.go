@@ -28,15 +28,16 @@
 //
 // Telemetry: every log line is a structured record (JSON by default,
 // -log-format text for humans; -log-level takes a spec like
-// "info,serve.http=warn"); each HTTP request gets an X-Request-ID and
-// W3C traceparent (accepted or minted, echoed on the response) that
-// follow the work through logs, spans, job records and the flight
-// recorder (GET /debug/events, sized by -flight-events; pollers tail
-// incrementally with ?since=<last_seq>). Autoscalers read GET /v1/load
-// (or the serve_* gauges on /metrics) for the predicted backlog;
-// -readyz-saturation DUR turns /readyz into a backpressure signal, and
-// -load-model seeds the cost model from a rsnbench record before the
-// first job completes (-load-ewma-alpha tunes its adaptation speed).
+// "info,http=warn"); each HTTP request gets an X-Request-ID and W3C
+// traceparent (accepted or minted, echoed on the response) that follow
+// the work through logs, spans and job records. The flight recorder
+// (GET /debug/events, sized by -flight-events; pollers tail
+// incrementally with ?since=<last_seq>) keeps the latest Info+ log
+// records of each component in memory, whatever -log-level writes.
+// Autoscalers read GET /v1/load (or the serve_* gauges on /metrics)
+// for the predicted backlog, the p90 cost of recent jobs times the
+// queued work; -readyz-saturation DUR turns /readyz into a
+// backpressure signal.
 //
 // Metrics history and SLOs: -history-interval samples every registry
 // metric into a bounded in-process series store (window sized by
@@ -61,8 +62,6 @@ import (
 	rsnsec "repro"
 	"repro/internal/cliutil"
 	"repro/internal/obs"
-	"repro/internal/obs/olog"
-	"repro/internal/obs/perfrec"
 	"repro/internal/obs/series"
 	"repro/internal/obs/slo"
 	"repro/internal/serve"
@@ -96,9 +95,7 @@ func run() error {
 		logLevel     = flag.String("log-level", "info", "log level spec: LEVEL[,component=LEVEL...] (debug|info|warn|error|off)")
 		logFormat    = flag.String("log-format", "json", "log record encoding: json or text")
 		logFile      = flag.String("log-file", "", "write log records to this file instead of stderr (buffered, flushed on shutdown)")
-		flightEvents = flag.Int("flight-events", 0, "flight-recorder ring size per category (0 = 256, -1 = disabled)")
-		loadModel    = flag.String("load-model", "", "seed the predicted-backlog cost model from this rsnbench record")
-		loadAlpha    = flag.Float64("load-ewma-alpha", 0.3, "cost-model EWMA weight on (0,1] (higher adapts faster)")
+		flightEvents = flag.Int("flight-events", 0, "flight-recorder ring size per log component (0 = 256, -1 = disabled)")
 		readyzSat    = flag.Duration("readyz-saturation", 0, "/readyz answers 503 while the predicted backlog exceeds this (0 = off)")
 		histInterval = flag.Duration("history-interval", 0, "sample metrics into the in-process history every DUR (0 = off unless -slo)")
 		histRetain   = flag.Duration("history-retention", 0, "metrics-history window (0 = 1h, or the slowest SLO window)")
@@ -112,7 +109,6 @@ func run() error {
 	}
 
 	logw := io.Writer(os.Stderr)
-	var logBuf *olog.BufferedWriter
 	if *logFile != "" {
 		lf, err := os.Create(*logFile)
 		if err != nil {
@@ -122,7 +118,7 @@ func run() error {
 		// Buffered: the access log is the hottest sink in the process.
 		// Flushed after graceful shutdown (defers run LIFO, before the
 		// file closes) so the tail of drained requests is never lost.
-		logBuf = olog.NewBufferedWriter(lf)
+		logBuf := obs.NewBufferedJSONLSink(lf)
 		defer logBuf.Flush()
 		logw = logBuf
 	}
@@ -135,16 +131,6 @@ func run() error {
 	obs.EnableRuntimeMetrics(reg)
 	version.Register(reg)
 
-	var loadRec *perfrec.Record
-	if *loadModel != "" {
-		loadRec, err = perfrec.ReadFile(*loadModel)
-		if err != nil {
-			return fmt.Errorf("load model: %w", err)
-		}
-	}
-	if *loadAlpha <= 0 || *loadAlpha > 1 {
-		return fmt.Errorf("-load-ewma-alpha %v outside (0, 1]", *loadAlpha)
-	}
 	var sloCfg *slo.Config
 	if *sloPath != "" {
 		sloCfg, err = slo.LoadConfig(*sloPath)
@@ -153,13 +139,8 @@ func run() error {
 		}
 	}
 	var histCfg *series.Config
-	if *histInterval > 0 || *histRetain > 0 || sloCfg != nil {
+	if *histInterval > 0 || *histRetain > 0 {
 		histCfg = &series.Config{Interval: *histInterval, Retention: *histRetain}
-		if sloCfg != nil && *histRetain == 0 {
-			if w := sloCfg.MaxWindow(); w > histCfg.Retention {
-				histCfg.Retention = w
-			}
-		}
 	}
 	var tracer *obs.Tracer
 	var traceSink *obs.BufferedJSONLSink
@@ -206,8 +187,6 @@ func run() error {
 		SlowJobLog:          slowJobLog,
 		Logger:              lg,
 		FlightEvents:        *flightEvents,
-		LoadModel:           loadRec,
-		LoadEWMAAlpha:       *loadAlpha,
 		SaturationThreshold: *readyzSat,
 		History:             histCfg,
 		SLO:                 sloCfg,

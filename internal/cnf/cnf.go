@@ -95,11 +95,6 @@ func (b *Builder) Xor2(out, a, x sat.Lit) {
 	b.S.AddClause(out, a, x.Not())
 }
 
-// Xnor2 constrains out <-> a XNOR x.
-func (b *Builder) Xnor2(out, a, x sat.Lit) {
-	b.Xor2(out.Not(), a, x)
-}
-
 // Xor constrains out <-> XOR of all inputs, chaining Xor2 for arity > 2.
 // With no inputs, out is false; with one, out equals it.
 func (b *Builder) Xor(out sat.Lit, ins ...sat.Lit) {

@@ -123,6 +123,12 @@ func InitFrom(nw *rsn.Network, data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("hybrid: snapshot truncated")
 	}
 	rest = rest[k:]
+	// Each of the 2n values takes at least one byte: bound the count by
+	// what remains before allocating for it, so a corrupt count cannot
+	// ask for gigabytes.
+	if n > uint64(len(rest)/2) {
+		return nil, fmt.Errorf("hybrid: snapshot claims %d nodes in %d bytes", n, len(rest))
+	}
 	s := &Snapshot{
 		nw:      nw.Clone(),
 		attrIn:  make([]secspec.CatSet, n),

@@ -1,21 +1,26 @@
 // Package flight is an in-memory flight recorder: fixed-size ring
-// buffers of recent operational events (job lifecycle transitions,
-// scheduler decisions, store activity), kept cheap enough to record
-// unconditionally and served as JSON so a stuck or misbehaving daemon
-// is diagnosable in place — no restart, no log-file access, no
-// sampling gaps right where the incident is.
+// buffers of the daemon's recent operational log records (job
+// lifecycle transitions, scheduler decisions, store activity), kept
+// cheap enough to record unconditionally and served as JSON so a stuck
+// or misbehaving daemon is diagnosable in place — no restart, no
+// log-file access, no sampling gaps right where the incident is.
 //
-// The recorder is category-sharded: each category owns its own ring
-// and mutex, so job events never contend with store events, and one
-// noisy category cannot evict another's history. Record is O(1) with
-// a critical section of a few field stores; Snapshot copies out under
-// the same short lock. A nil *Recorder no-ops everywhere, matching the
-// internal/obs convention that telemetry paths never branch on
-// enablement.
+// The recorder is fed by the logger, not by its own calls: Tee puts it
+// in front of the configured slog.Handler, and every record at Info or
+// above lands in the ring of its component. One log call is therefore
+// both the log line and the ring entry.
+//
+// The recorder is category-sharded: each component owns its own ring
+// and mutex, so job records never contend with store records, and one
+// noisy component cannot evict another's history. Recording is O(1)
+// with a critical section of a few field stores; Snapshot copies out
+// under the same short lock.
 package flight
 
 import (
+	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -24,9 +29,10 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/olog"
 )
 
-// Event is one recorded occurrence. Seq orders events globally across
+// Event is one ringed log record. Seq orders events globally across
 // categories (a single atomic counter), so interleavings reconstruct
 // exactly even when per-category rings wrap at different rates.
 type Event struct {
@@ -39,8 +45,8 @@ type Event struct {
 	Job       string `json:"job,omitempty"`
 	RequestID string `json:"request_id,omitempty"`
 	TraceID   string `json:"trace_id,omitempty"`
-	// Detail carries one short free-form value (a key prefix, an error
-	// summary, a queue position).
+	// Detail carries the record's "detail" attribute: one short
+	// free-form value (a key prefix, an error summary, a wait time).
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -105,12 +111,9 @@ func (r *Recorder) ring(cat string) *ring {
 	return rg
 }
 
-// Record stamps and stores one event. Seq and Time are assigned here;
-// callers fill Cat, Name and the correlation fields.
-func (r *Recorder) Record(ev Event) {
-	if r == nil || ev.Cat == "" {
-		return
-	}
+// record stamps and stores one event. Seq and Time are assigned here;
+// the tee fills Cat, Name and the correlation fields.
+func (r *Recorder) record(ev Event) {
 	ev.Seq = r.seq.Add(1)
 	ev.Time = r.now().UTC().Format(time.RFC3339Nano)
 	rg := r.ring(ev.Cat)
@@ -163,16 +166,6 @@ func (r *Recorder) Snapshot(cat string) []Event {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// Recent returns the latest n events across all categories (global Seq
-// order, oldest of the n first).
-func (r *Recorder) Recent(n int) []Event {
-	evs := r.Snapshot("")
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
 }
 
 // SnapshotSince returns the retained events with Seq > since, one
@@ -283,10 +276,72 @@ func (r *Recorder) Handler() http.Handler {
 	})
 }
 
-// WithReqInfo copies the request identity of ri into the event's
-// correlation fields.
-func (ev Event) WithReqInfo(ri obs.ReqInfo) Event {
-	ev.RequestID = ri.RequestID
-	ev.TraceID = ri.Trace.TraceID
-	return ev
+// Tee returns a slog.Handler that rings every record at Info or above
+// and passes every record next would accept on to next. The ring is
+// the record's "component" attribute, the event name its message; the
+// "job" and "detail" attributes and the request and trace IDs of the
+// record's context fill the correlation fields. Records without a
+// component are not rung, and Debug records never are, so a disabled
+// debug log line still costs nothing.
+func (r *Recorder) Tee(next slog.Handler) slog.Handler {
+	return &tee{rec: r, next: next}
+}
+
+// tee is the recorder's handler; bound holds the component, job and
+// detail attributes bound earlier through WithAttrs (component loggers,
+// per-job loggers).
+type tee struct {
+	rec   *Recorder
+	next  slog.Handler
+	bound Event
+}
+
+func (h *tee) Enabled(ctx context.Context, lvl slog.Level) bool {
+	return lvl >= slog.LevelInfo || h.next.Enabled(ctx, lvl)
+}
+
+func (h *tee) Handle(ctx context.Context, rec slog.Record) error {
+	if rec.Level >= slog.LevelInfo && h.bound.Cat != "" {
+		ev := h.bound
+		ev.Name = rec.Message
+		rec.Attrs(func(a slog.Attr) bool {
+			ev.set(a)
+			return true
+		})
+		if ri, ok := obs.ReqInfoFrom(ctx); ok {
+			ev.RequestID, ev.TraceID = ri.RequestID, ri.Trace.TraceID
+		}
+		h.rec.record(ev)
+	}
+	if !h.next.Enabled(ctx, rec.Level) {
+		return nil
+	}
+	return h.next.Handle(ctx, rec)
+}
+
+func (h *tee) WithAttrs(attrs []slog.Attr) slog.Handler {
+	nh := *h
+	for _, a := range attrs {
+		nh.bound.set(a)
+	}
+	nh.next = h.next.WithAttrs(attrs)
+	return &nh
+}
+
+func (h *tee) WithGroup(name string) slog.Handler {
+	nh := *h
+	nh.next = h.next.WithGroup(name)
+	return &nh
+}
+
+// set copies one record attribute into the event's matching field.
+func (ev *Event) set(a slog.Attr) {
+	switch a.Key {
+	case olog.ComponentKey:
+		ev.Cat = a.Value.String()
+	case "job":
+		ev.Job = a.Value.String()
+	case "detail":
+		ev.Detail = a.Value.String()
+	}
 }

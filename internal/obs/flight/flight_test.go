@@ -1,8 +1,11 @@
 package flight
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -14,7 +17,7 @@ import (
 func TestRingWrapKeepsLatest(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 10; i++ {
-		r.Record(Event{Cat: "sched", Name: "enqueue", Detail: string(rune('a' + i))})
+		r.record(Event{Cat: "sched", Name: "enqueue", Detail: string(rune('a' + i))})
 	}
 	evs := r.Snapshot("sched")
 	if len(evs) != 4 {
@@ -35,9 +38,9 @@ func TestRingWrapKeepsLatest(t *testing.T) {
 
 func TestCategoriesIsolateAndMerge(t *testing.T) {
 	r := New(2)
-	r.Record(Event{Cat: "job", Name: "start", Job: "a1"})
-	r.Record(Event{Cat: "store", Name: "miss"})
-	r.Record(Event{Cat: "job", Name: "done", Job: "a1"})
+	r.record(Event{Cat: "job", Name: "start", Job: "a1"})
+	r.record(Event{Cat: "store", Name: "miss"})
+	r.record(Event{Cat: "job", Name: "done", Job: "a1"})
 	// The store ring must not have been evicted by job traffic.
 	if got := r.Snapshot("store"); len(got) != 1 || got[0].Name != "miss" {
 		t.Errorf("store ring = %+v", got)
@@ -52,14 +55,10 @@ func TestCategoriesIsolateAndMerge(t *testing.T) {
 	if got := r.ForJob("a1"); len(got) != 2 {
 		t.Errorf("ForJob = %+v", got)
 	}
-	if got := r.Recent(2); len(got) != 2 || got[1].Name != "done" {
-		t.Errorf("Recent = %+v", got)
-	}
 }
 
 func TestNilRecorderNoOps(t *testing.T) {
 	var r *Recorder
-	r.Record(Event{Cat: "job", Name: "x"})
 	if r.Snapshot("") != nil || r.Categories() != nil || r.Dropped() != 0 {
 		t.Error("nil recorder leaked state")
 	}
@@ -74,7 +73,7 @@ func TestConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			cat := []string{"job", "sched", "store"}[g%3]
 			for i := 0; i < 100; i++ {
-				r.Record(Event{Cat: cat, Name: "ev"})
+				r.record(Event{Cat: cat, Name: "ev"})
 			}
 		}(g)
 	}
@@ -91,8 +90,8 @@ func TestConcurrentRecord(t *testing.T) {
 func TestHandlerJSON(t *testing.T) {
 	r := New(8)
 	ri := obs.ReqInfo{RequestID: "req-7", Trace: obs.NewTraceContext()}
-	r.Record(Event{Cat: "job", Name: "enqueue", Job: "a1"}.WithReqInfo(ri))
-	r.Record(Event{Cat: "sched", Name: "reject"})
+	r.record(Event{Cat: "job", Name: "enqueue", Job: "a1", RequestID: ri.RequestID, TraceID: ri.Trace.TraceID})
+	r.record(Event{Cat: "sched", Name: "reject"})
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/events", nil))
@@ -129,7 +128,7 @@ func TestHandlerJSON(t *testing.T) {
 func TestSnapshotSinceCursor(t *testing.T) {
 	r := New(8)
 	for i := 0; i < 5; i++ {
-		r.Record(Event{Cat: "job", Name: "tick"})
+		r.record(Event{Cat: "job", Name: "tick"})
 	}
 	all := r.Snapshot("")
 	if len(all) != 5 || r.LastSeq() != all[4].Seq {
@@ -156,8 +155,8 @@ func TestSnapshotSinceCursor(t *testing.T) {
 
 func TestHandlerSinceParam(t *testing.T) {
 	r := New(8)
-	r.Record(Event{Cat: "job", Name: "first", Job: "a1"})
-	r.Record(Event{Cat: "job", Name: "second", Job: "a1"})
+	r.record(Event{Cat: "job", Name: "first", Job: "a1"})
+	r.record(Event{Cat: "job", Name: "second", Job: "a1"})
 
 	var resp struct {
 		LastSeq uint64  `json:"last_seq"`
@@ -174,7 +173,7 @@ func TestHandlerSinceParam(t *testing.T) {
 
 	// Tail from the advertised cursor: only what happened after.
 	cursor := resp.LastSeq
-	r.Record(Event{Cat: "sched", Name: "third", Job: "a1"})
+	r.record(Event{Cat: "sched", Name: "third", Job: "a1"})
 	rec = httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET",
 		fmt.Sprintf("/debug/events?since=%d", cursor), nil))
@@ -204,5 +203,46 @@ func TestHandlerSinceParam(t *testing.T) {
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/events?since=-3", nil))
 	if rec.Code != 400 {
 		t.Fatalf("bad since: code=%d", rec.Code)
+	}
+}
+
+// TestTeeRingsInfoRecords checks the logger path into the rings: Info
+// and Warn records of a component are rung with their job, detail and
+// request identity and still reach the next handler; Debug records
+// and records without a component are not rung.
+func TestTeeRingsInfoRecords(t *testing.T) {
+	r := New(8)
+	var out bytes.Buffer
+	lg := slog.New(r.Tee(slog.NewJSONHandler(&out, nil))) // next: Info+
+	ri := obs.ReqInfo{RequestID: "req-9", Trace: obs.NewTraceContext()}
+	ctx := obs.WithReqInfo(context.Background(), ri)
+
+	sched := lg.With("component", "sched")
+	sched.InfoContext(ctx, "enqueue", "job", "a1", "detail", "TreeFlat")
+	sched.With("job", "a2").WarnContext(ctx, "timeout", "detail", "1ms")
+	sched.DebugContext(ctx, "probe", "job", "a1")
+	lg.InfoContext(ctx, "no component")
+
+	evs := r.Snapshot("")
+	if len(evs) != 2 {
+		t.Fatalf("rung %d events, want 2: %+v", len(evs), evs)
+	}
+	want := []Event{
+		{Cat: "sched", Name: "enqueue", Job: "a1", Detail: "TreeFlat"},
+		{Cat: "sched", Name: "timeout", Job: "a2", Detail: "1ms"},
+	}
+	for i, ev := range evs {
+		w := want[i]
+		w.Seq, w.Time, w.RequestID, w.TraceID = ev.Seq, ev.Time, "req-9", ri.Trace.TraceID
+		if ev != w {
+			t.Errorf("event %d = %+v, want %+v", i, ev, w)
+		}
+	}
+	// The next handler saw the three Info+ records, not the Debug one.
+	if n := strings.Count(out.String(), "\n"); n != 3 {
+		t.Errorf("next handler got %d lines, want 3:\n%s", n, out.String())
+	}
+	if strings.Contains(out.String(), "probe") {
+		t.Error("debug record leaked past an info-level handler")
 	}
 }

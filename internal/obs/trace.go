@@ -56,11 +56,14 @@ func (s *JSONLSink) Err() error {
 	return s.err
 }
 
-// BufferedJSONLSink is a JSONL sink over a buffered writer: span
-// events amortize into large writes, and Flush pushes everything
+// BufferedJSONLSink is the one concurrency-safe buffered JSON-lines
+// writer: span events (Emit), any other JSON record (Encode, e.g.
+// slow-job dumps) and pre-encoded lines (Write, e.g. a slog handler's
+// output) amortize into large writes, and Flush pushes everything
 // buffered down to the underlying writer. Long-running processes
-// (rsnserved) flush on graceful shutdown so no buffered spans are
-// lost; short-lived CLIs flush before closing the file.
+// (rsnserved) flush on graceful shutdown so no buffered records are
+// lost; short-lived CLIs flush before closing the file. The first
+// write error sticks and fails every later write.
 type BufferedJSONLSink struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
@@ -75,16 +78,32 @@ func NewBufferedJSONLSink(w io.Writer) *BufferedJSONLSink {
 	return &BufferedJSONLSink{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// Emit buffers the event as one JSON line.
-func (s *BufferedJSONLSink) Emit(ev Event) {
+// Emit buffers the span event as one JSON line.
+func (s *BufferedJSONLSink) Emit(ev Event) { _ = s.Encode(ev) }
+
+// Encode buffers v as one JSON line.
+func (s *BufferedJSONLSink) Encode(v any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err == nil {
-		s.err = s.enc.Encode(ev)
+		s.err = s.enc.Encode(v)
 	}
+	return s.err
 }
 
-// Flush writes all buffered events to the underlying writer.
+// Write buffers p verbatim; p should hold whole lines.
+func (s *BufferedJSONLSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return 0, s.err
+	}
+	n, err := s.bw.Write(p)
+	s.err = err
+	return n, err
+}
+
+// Flush writes everything buffered to the underlying writer.
 func (s *BufferedJSONLSink) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

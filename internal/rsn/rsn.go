@@ -509,26 +509,6 @@ type Sink struct {
 	Idx  int
 }
 
-// FanoutMap maps each element to the elements it feeds.
-func (nw *Network) FanoutMap() map[Ref][]Ref {
-	m := map[Ref][]Ref{}
-	add := func(src, dst Ref) {
-		if src != NoRef && src.IsValid() {
-			m[src] = append(m[src], dst)
-		}
-	}
-	for i := range nw.Registers {
-		add(nw.Registers[i].In, Reg(i))
-	}
-	for i := range nw.Muxes {
-		for _, in := range nw.Muxes[i].Inputs {
-			add(in, Mx(i))
-		}
-	}
-	add(nw.OutSrc, ScanOut)
-	return m
-}
-
 // Sinks returns every input pin currently driven by src.
 func (nw *Network) Sinks(src Ref) []Sink {
 	var out []Sink

@@ -44,13 +44,12 @@ func loadBenchCNF(tb testing.TB, name string) (int, [][]Lit) {
 	return nv, clauses
 }
 
-func benchSolve(b *testing.B, name string, want Status, policy RestartPolicy) {
+func benchSolve(b *testing.B, name string, want Status) {
 	nv, clauses := loadBenchCNF(b, name)
 	var last Statistics
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := New()
-		s.SetRestartPolicy(policy)
 		for v := 0; v < nv; v++ {
 			s.NewVar()
 		}
@@ -77,46 +76,28 @@ func benchSolve(b *testing.B, name string, want Status, policy RestartPolicy) {
 }
 
 func BenchmarkDIMACSPigeonhole(b *testing.B) {
-	benchSolve(b, "php_8_7.cnf", Unsat, RestartEMA)
-}
-
-func BenchmarkDIMACSPigeonholeLuby(b *testing.B) {
-	benchSolve(b, "php_8_7.cnf", Unsat, RestartLuby)
+	benchSolve(b, "php_8_7.cnf", Unsat)
 }
 
 func BenchmarkDIMACSRand3Hard(b *testing.B) {
-	benchSolve(b, "rand3_v150_r43_s1.cnf", Sat, RestartEMA)
-}
-
-func BenchmarkDIMACSRand3HardLuby(b *testing.B) {
-	benchSolve(b, "rand3_v150_r43_s1.cnf", Sat, RestartLuby)
+	benchSolve(b, "rand3_v150_r43_s1.cnf", Sat)
 }
 
 func BenchmarkDIMACSRand3Easy(b *testing.B) {
-	benchSolve(b, "rand3_v200_r38_s2.cnf", Sat, RestartEMA)
+	benchSolve(b, "rand3_v200_r38_s2.cnf", Sat)
 }
 
 // The attack miters are large, heavily structured circuit instances
 // (tens of thousands of variables, mostly binary/ternary gate clauses):
 // the workload ScanSAT actually hands the solver, as opposed to the
-// small combinatorial/random instances above. EMA and Luby variants are
-// both pinned because the glucose-style restart trade shows most
-// clearly on structured formulas.
+// small combinatorial/random instances above.
 
 func BenchmarkDIMACSAttackStatic(b *testing.B) {
-	benchSolve(b, "attack_miter_static.cnf", Sat, RestartEMA)
-}
-
-func BenchmarkDIMACSAttackStaticLuby(b *testing.B) {
-	benchSolve(b, "attack_miter_static.cnf", Sat, RestartLuby)
+	benchSolve(b, "attack_miter_static.cnf", Sat)
 }
 
 func BenchmarkDIMACSAttackDyn(b *testing.B) {
-	benchSolve(b, "attack_miter_dyn.cnf", Sat, RestartEMA)
-}
-
-func BenchmarkDIMACSAttackDynLuby(b *testing.B) {
-	benchSolve(b, "attack_miter_dyn.cnf", Sat, RestartLuby)
+	benchSolve(b, "attack_miter_dyn.cnf", Sat)
 }
 
 // TestAttackMiterInstances pins the expected status of the committed
@@ -146,23 +127,15 @@ func TestAttackMiterInstances(t *testing.T) {
 // per-query tail. This is the workload trail reuse accelerates; the
 // reused-levels metric shows how much of each solve's prefix survived.
 func BenchmarkIncrementalAssumptions(b *testing.B) {
-	benchIncremental(b, RestartEMA)
+	benchIncremental(b)
 }
 
-// BenchmarkIncrementalAssumptionsLuby pins the pre-modernization restart
-// policy so before/after runs isolate the trail-reuse effect from the
-// restart-trajectory change.
-func BenchmarkIncrementalAssumptionsLuby(b *testing.B) {
-	benchIncremental(b, RestartLuby)
-}
-
-func benchIncremental(b *testing.B, policy RestartPolicy) {
+func benchIncremental(b *testing.B) {
 	nv, clauses := loadBenchCNF(b, "rand3_v200_r38_s2.cnf")
 	var last Statistics
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := New()
-		s.SetRestartPolicy(policy)
 		for v := 0; v < nv; v++ {
 			s.NewVar()
 		}

@@ -7,7 +7,7 @@
 // logic. It supports incremental solving under assumptions, two-watched
 // literal propagation with blocking literals, first-UIP clause learning
 // with LBD (glue) scoring, glucose-style clause-database reduction,
-// activity-based branching with phase saving, Luby or LBD-EMA adaptive
+// activity-based branching with phase saving, LBD-EMA adaptive
 // restarts, and assumption-prefix trail reuse between consecutive Solve
 // calls (the incremental cofactor-query pattern of internal/dep keeps
 // thousands of closely related queries from re-propagating a shared
@@ -144,9 +144,8 @@ type Solver struct {
 
 	// restart state; the LBD EMAs persist across Solve calls so the
 	// adaptive policy keeps its history over an incremental query burst.
-	restartPolicy RestartPolicy
-	fastLBD       float64 // short-horizon EMA of learnt-clause LBD
-	slowLBD       float64 // long-horizon EMA of learnt-clause LBD
+	fastLBD float64 // short-horizon EMA of learnt-clause LBD
+	slowLBD float64 // long-horizon EMA of learnt-clause LBD
 
 	// keptAssumps is the assumption prefix whose decision levels were
 	// retained on the trail when the previous Solve call returned. The
@@ -169,22 +168,6 @@ type Solver struct {
 // SetClauseTrace registers fn to observe every AddClause call (nil
 // disables tracing).
 func (s *Solver) SetClauseTrace(fn func(lits []Lit)) { s.clauseTrace = fn }
-
-// RestartPolicy selects the solver's restart strategy.
-type RestartPolicy int
-
-const (
-	// RestartEMA restarts when the short-horizon EMA of learnt-clause
-	// LBD exceeds the long-horizon EMA by 25% (glucose-style adaptive
-	// restarts). This is the default.
-	RestartEMA RestartPolicy = iota
-	// RestartLuby restarts on the Luby sequence scaled by 100 conflicts.
-	RestartLuby
-)
-
-// SetRestartPolicy selects the restart strategy for subsequent Solve
-// calls. The default is RestartEMA.
-func (s *Solver) SetRestartPolicy(p RestartPolicy) { s.restartPolicy = p }
 
 // Statistics accumulates solver counters across Solve calls.
 type Statistics struct {
@@ -628,18 +611,6 @@ func (s *Solver) pickBranchLit() Lit {
 	}
 }
 
-// luby computes the Luby restart sequence value for index i (1-based).
-func luby(i int64) int64 {
-	for k := int64(1); ; k++ {
-		if i == (1<<uint(k))-1 {
-			return 1 << uint(k-1)
-		}
-		if i < (1<<uint(k))-1 {
-			return luby(i - (1 << uint(k-1)) + 1)
-		}
-	}
-}
-
 // SetConflictBudget limits subsequent Solve calls to approximately n
 // conflicts; n <= 0 removes the limit.
 func (s *Solver) SetConflictBudget(n int64) { s.budget = n }
@@ -724,8 +695,6 @@ func (s *Solver) SolveLimited(assumptions ...Lit) (Status, error) {
 
 	conflictsAtStart := s.Stats.Conflicts
 	conflictsSinceRestart := int64(0)
-	restartIdx := int64(1)
-	restartLimit := int64(100) * luby(restartIdx)
 
 	for {
 		confl := s.propagate()
@@ -762,7 +731,7 @@ func (s *Solver) SolveLimited(assumptions ...Lit) (Status, error) {
 			if s.budget > 0 && s.Stats.Conflicts-conflictsAtStart >= s.budget {
 				return Unknown, ErrBudget
 			}
-			if s.shouldRestart(conflictsSinceRestart, &restartIdx, &restartLimit, conflictsAtStart) {
+			if s.shouldRestart(conflictsSinceRestart) {
 				s.Stats.Restarts++
 				conflictsSinceRestart = 0
 				s.backtrackTo(0)
@@ -808,26 +777,16 @@ func (s *Solver) updateLBDEMAs(lbd int32) {
 	s.slowLBD += (l - s.slowLBD) / 1024
 }
 
-// shouldRestart implements the active restart policy. For RestartEMA
-// the trigger is fast > 1.25*slow after at least 32 conflicts since
-// the last restart (resetting fast to slow on fire); for RestartLuby
-// it is the conflict count crossing the scaled Luby sequence.
-func (s *Solver) shouldRestart(sinceRestart int64, restartIdx, restartLimit *int64, conflictsAtStart int64) bool {
-	switch s.restartPolicy {
-	case RestartLuby:
-		if s.Stats.Conflicts-conflictsAtStart >= *restartLimit {
-			*restartIdx++
-			*restartLimit = s.Stats.Conflicts - conflictsAtStart + 100*luby(*restartIdx)
-			return true
-		}
-		return false
-	default: // RestartEMA
-		if sinceRestart >= 32 && s.fastLBD > 1.25*s.slowLBD {
-			s.fastLBD = s.slowLBD
-			return true
-		}
-		return false
+// shouldRestart implements glucose-style adaptive restarts: it fires
+// when the short-horizon EMA of learnt-clause LBD exceeds the
+// long-horizon EMA by 25%, after at least 32 conflicts since the last
+// restart, and resets fast to slow on firing.
+func (s *Solver) shouldRestart(sinceRestart int64) bool {
+	if sinceRestart >= 32 && s.fastLBD > 1.25*s.slowLBD {
+		s.fastLBD = s.slowLBD
+		return true
 	}
+	return false
 }
 
 // captureModel snapshots the current complete assignment.
@@ -904,12 +863,4 @@ func (s *Solver) Value(v Var) bool {
 		return false
 	}
 	return s.model[v]
-}
-
-// Model returns a copy of the last satisfying assignment, indexed by
-// variable (index 0 unused).
-func (s *Solver) Model() []bool {
-	out := make([]bool, len(s.model))
-	copy(out, s.model)
-	return out
 }

@@ -417,15 +417,6 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-func TestLuby(t *testing.T) {
-	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
-	for i, w := range want {
-		if got := luby(int64(i + 1)); got != w {
-			t.Fatalf("luby(%d) = %d, want %d", i+1, got, w)
-		}
-	}
-}
-
 func TestHeapOrdering(t *testing.T) {
 	s := New()
 	for i := 0; i < 10; i++ {

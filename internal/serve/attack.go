@@ -14,7 +14,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obfus"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/rsn"
 )
 
@@ -185,15 +184,10 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ri, _ := obs.ReqInfoFrom(r.Context())
-	s.flight.Record(flight.Event{Cat: "attack", Name: "submit",
-		RequestID: ri.RequestID, TraceID: ri.Trace.TraceID,
-		Detail: fmt.Sprintf("%s key_bits=%d gates=%d dynamic=%v",
-			a.atk.nw.Name, a.atk.ov.NumKeyBits, len(a.atk.ov.Gates), a.atk.ov.Dynamic)})
+	logEvent(r.Context(), s.atkLog, "submit", "", fmt.Sprintf("%s key_bits=%d gates=%d dynamic=%v",
+		a.atk.nw.Name, a.atk.ov.NumKeyBits, len(a.atk.ov.Gates), a.atk.ov.Dynamic))
 	if data, ok := s.store.Get(a.key); ok {
 		j := s.sched.InsertFinished(r.Context(), a.key, a.label, "hit", data)
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "served from store",
-			slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
 		writeJSON(w, http.StatusOK, s.status(j))
 		return
 	}
@@ -216,8 +210,7 @@ func (s *Server) executeAttack(ctx context.Context, j *Job, a *analysis) ([]byte
 	opts.TraceParent = j.span
 	rep, err := exp.RunAttackAnalysis(ctx, "rsnserved", at.nw, at.ov, at.key, opts)
 	if err != nil {
-		s.flight.Record(flight.Event{Cat: "attack", Name: "failed", Job: j.ID,
-			RequestID: j.RequestID, TraceID: j.TraceID, Detail: err.Error()})
+		logEvent(ctx, s.atkLog, "failed", j.ID, err.Error())
 		return nil, err
 	}
 	s.atkMetrics.jobs.Inc()
@@ -239,8 +232,7 @@ func (s *Server) executeAttack(ctx context.Context, j *Job, a *analysis) ([]byte
 		}
 		detail += fmt.Sprintf("flush_rank=%d", fl.Rank)
 	}
-	s.flight.Record(flight.Event{Cat: "attack", Name: "report", Job: j.ID,
-		RequestID: j.RequestID, TraceID: j.TraceID, Detail: detail})
+	logEvent(ctx, s.atkLog, "report", j.ID, detail)
 	var buf bytes.Buffer
 	if err := obfus.WriteReport(&buf, rep); err != nil {
 		return nil, fmt.Errorf("serve: encode attack report: %w", err)

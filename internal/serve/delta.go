@@ -132,8 +132,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	if data, ok := s.store.Get(a.key); ok {
 		j := s.sched.InsertFinished(r.Context(), a.key, a.label, "hit", data)
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "served from store",
-			slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
 		writeJSON(w, http.StatusOK, s.status(j))
 		return
 	}
@@ -162,13 +160,9 @@ func (s *Server) scheduleJob(w http.ResponseWriter, r *http.Request, a *analysis
 		return
 	}
 	if joined {
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "coalesced identical submission",
-			slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
 		writeJSON(w, http.StatusAccepted, s.statusAs(j, "coalesced"))
 		return
 	}
-	s.log.LogAttrs(r.Context(), slog.LevelInfo, "queued",
-		slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
 	writeJSON(w, http.StatusAccepted, s.status(j))
 }
 

@@ -170,15 +170,19 @@ func TestObservabilityEndpointsDisabledByDefault(t *testing.T) {
 // alone enables the series store with retention covering the slowest
 // objective window.
 func TestSLOImpliesHistory(t *testing.T) {
-	srv, err := New(Config{SLO: testSLOConfig()})
-	if err != nil {
-		t.Fatal(err)
+	newSrv := func(cfg Config) *Server {
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			_ = srv.Shutdown(ctx)
+		})
+		return srv
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
+	srv := newSrv(Config{SLO: testSLOConfig()})
 	if srv.History() == nil {
 		t.Fatal("SLO config did not enable history")
 	}
@@ -187,6 +191,21 @@ func TestSLOImpliesHistory(t *testing.T) {
 	}
 	if srv.SLOEngine() == nil {
 		t.Fatal("no SLO engine")
+	}
+
+	// History configured without a retention: the SLO stretches it to
+	// the slowest objective window and keeps the configured interval.
+	srv = newSrv(Config{SLO: testSLOConfig(), History: &series.Config{Interval: 2 * time.Second}})
+	if got := srv.History().Retention(); got != 30*time.Second {
+		t.Fatalf("retention %v, want the slowest SLO window (30s)", got)
+	}
+	if got := srv.History().Interval(); got != 2*time.Second {
+		t.Fatalf("interval %v, want the configured 2s", got)
+	}
+	// An explicit retention is kept as given.
+	srv = newSrv(Config{SLO: testSLOConfig(), History: &series.Config{Retention: time.Hour}})
+	if got := srv.History().Retention(); got != time.Hour {
+		t.Fatalf("retention %v, want the configured 1h", got)
 	}
 }
 
@@ -245,55 +264,6 @@ func TestEventsSinceCursorThroughServer(t *testing.T) {
 	}
 	if len(resp.Events) == 0 || resp.LastSeq <= cursor {
 		t.Fatalf("tail after new work: %d events, last_seq %d (cursor %d)", len(resp.Events), resp.LastSeq, cursor)
-	}
-}
-
-// TestBacklogDivergesFromPureEWMAUnderBimodalMix is the acceptance
-// test for the history-backed predictor: under a bimodal job mix
-// (cheap pure-path jobs interleaved with SAT-heavy ones) the windowed
-// p90 prediction reflects the slow mode while a pure EWMA blends the
-// modes into a rate that describes neither.
-func TestBacklogDivergesFromPureEWMAUnderBimodalMix(t *testing.T) {
-	reg := obs.NewRegistry()
-	st := series.NewStore(reg, series.Config{Interval: time.Second, Retention: time.Minute})
-	hist := newCostModel(nil, 0)
-	hist.bindMetrics(reg)
-	hist.bindHistory(st)
-	ewma := newCostModel(nil, 0) // the old predictor, for comparison
-
-	const ffs = 1000
-	fast := time.Duration(ffs) * 2 * time.Microsecond   // 2e3 ns/FF
-	slow := time.Duration(ffs) * 2 * time.Millisecond   // 2e6 ns/FF
-	for i := 0; i < 25; i++ {                           // interleaved bimodal mix
-		for _, d := range []time.Duration{slow, fast} { // ends on a fast job
-			hist.observe(ffs, d)
-			ewma.observe(ffs, d)
-		}
-	}
-	st.Sample(time.Now())
-
-	p50, p90, ok := hist.quantiles()
-	if !ok {
-		t.Fatal("windowed quantiles unavailable")
-	}
-	// The bimodal distribution splits across the bucket grid: p50 lands
-	// at the fast mode's bucket, p90 at the slow mode's.
-	if p50 > 3e3 {
-		t.Fatalf("windowed p50 = %v, want the fast mode (<= 3e3)", p50)
-	}
-	if p90 < 2e6 {
-		t.Fatalf("windowed p90 = %v, want the slow mode (>= 2e6)", p90)
-	}
-
-	histEst := hist.estimate(ffs)
-	ewmaEst := ewma.estimate(ffs)
-	// The EWMA ends just after a fast sample, so it underestimates the
-	// mix's tail badly; the windowed p90 stays at the slow mode.
-	if histEst < 2*time.Second {
-		t.Fatalf("history-backed estimate = %v, want >= 2s (slow mode)", histEst)
-	}
-	if ewmaEst*2 > histEst {
-		t.Fatalf("divergence too small: ewma=%v history=%v", ewmaEst, histEst)
 	}
 }
 

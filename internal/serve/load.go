@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/perfrec"
-	"repro/internal/obs/series"
 )
 
 // LoadStatus is the autoscale load signal served by GET /v1/load and
@@ -38,180 +36,113 @@ type LoadStatus struct {
 	SaturationThresholdSeconds float64 `json:"saturation_threshold_seconds,omitempty"`
 	Saturated                  bool    `json:"saturated"`
 	// CostP50NSPerFF / CostP90NSPerFF expose the windowed ns-per-scan-FF
-	// percentiles the predictor runs on (0 while the history window is
-	// still empty and the EWMA fallback is in charge).
+	// percentiles the predictor runs on (absent while no sized job has
+	// finished).
 	CostP50NSPerFF float64 `json:"cost_p50_ns_per_ff,omitempty"`
 	CostP90NSPerFF float64 `json:"cost_p90_ns_per_ff,omitempty"`
 }
 
-// costModel predicts one job's run time from its scan flip-flop count.
-// Prediction sources, in order (see DESIGN.md §5j for the full story):
-//
-//  1. Windowed percentiles. When the metrics history is enabled, every
-//     finished sized job records its ns-per-scan-FF rate into the
-//     serve_job_cost_ns_per_ff histogram, and the predictor uses the
-//     p90 of that distribution over the history window — a queue-wait
-//     promise should reflect the observed spread, not the last sample,
-//     and under a bimodal job mix (cheap pure-mode jobs interleaved
-//     with SAT-heavy hybrid ones) an EWMA converges to a value that
-//     describes neither mode.
-//  2. EWMA ns-per-FF as cold-start fallback: seeded from a bench
-//     record (rsnsec.bench-record/v1 — the sum of per-stage median wall
-//     times over the benchmark's scan-FF count, median across
-//     benchmarks), then updated by every finished job.
-//  3. EWMA of whole-job durations, for jobs with unknown size (deltas).
+// costModel predicts one job's run time from two windows of recent job
+// costs (see DESIGN.md §5j): sized jobs read the p90 of a window of
+// ns-per-scan-FF rates, jobs of unknown size (deltas) the p90 of a
+// window of whole-job durations. A queue-wait promise should reflect
+// the observed spread, not the last sample: under a bimodal job mix
+// (cheap analyses interleaved with SAT-heavy key-recovery attacks) an
+// average converges to a value that describes neither mode, while the
+// p90 stays at the slow one. An empty window predicts 0; the oldest
+// observed wait floors the backlog meanwhile.
 type costModel struct {
-	mu      sync.Mutex
-	alpha   float64 // EWMA weight on (0, 1]
-	nsPerFF float64 // EWMA ns per scan FF; 0 = unknown
-	jobNS   float64 // EWMA whole-job ns; 0 = unknown
-
+	mu       sync.Mutex
+	perFF    costWindow     // ns per scan FF of finished sized jobs
+	whole    costWindow     // ns of finished jobs of unknown size
 	costHist *obs.Histogram // serve_job_cost_ns_per_ff (nil until bindMetrics)
-	history  *series.Store  // windowed percentile source (nil = EWMA only)
-
-	// Windowed percentiles are memoized for one sampling interval: a
-	// load snapshot calls estimate once per queued job, and the window
-	// only changes when a sample lands.
-	q50, q90 float64
-	qAt      time.Time
 }
 
-// ewmaAlpha is the default EWMA weight: high enough to adapt within a
-// few jobs, low enough that one outlier does not whipsaw the signal.
-const ewmaAlpha = 0.3
+// costWindowSize is how many recent jobs each window keeps. The p90 of
+// 256 samples rests on the slowest 26, so one outlier cannot move it,
+// and a slow mode reaches the p90 once it is more than a tenth of the
+// window. A job drops out after 256 newer ones of its kind, so the
+// estimate follows a shift in the job mix. Re-sorting 256 floats per
+// finished job costs microseconds, far below any job.
+const costWindowSize = 256
+
+// costWindow is a fixed-size ring of recent job costs whose p50 and
+// p90 are recomputed on every observation: jobs finish far less often
+// than load snapshots read the estimate (once per queued job).
+type costWindow struct {
+	ring     []float64
+	next     int
+	p50, p90 float64
+}
+
+func (w *costWindow) add(v float64) {
+	if len(w.ring) < costWindowSize {
+		w.ring = append(w.ring, v)
+	} else {
+		w.ring[w.next] = v
+	}
+	w.next = (w.next + 1) % costWindowSize
+	sorted := append([]float64(nil), w.ring...)
+	sort.Float64s(sorted)
+	w.p50, w.p90 = nearestRank(sorted, 0.5), nearestRank(sorted, 0.9)
+}
+
+// nearestRank returns the q-quantile of sorted by the nearest-rank
+// rule: the smallest sample with at least q of the samples at or below
+// it.
+func nearestRank(sorted []float64, q float64) float64 {
+	return sorted[int(math.Ceil(q*float64(len(sorted))))-1]
+}
 
 // costBounds are the serve_job_cost_ns_per_ff histogram's bucket upper
 // bounds — log-spaced over the plausible ns-per-scan-FF range (sub-µs
-// pure-mode propagation up to ~10ms/FF SAT-heavy attacks). Windowed
-// percentiles resolve to these bounds, so they are also the
-// granularity of the backlog prediction.
+// pure-mode propagation up to ~10ms/FF SAT-heavy attacks).
 var costBounds = []float64{1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7}
 
-func newCostModel(rec *perfrec.Record, alpha float64) *costModel {
-	m := &costModel{alpha: alpha}
-	if m.alpha <= 0 || m.alpha > 1 {
-		m.alpha = ewmaAlpha
-	}
-	if rec == nil {
-		return m
-	}
-	var rates []float64
-	for i := range rec.Benchmarks {
-		b := &rec.Benchmarks[i]
-		if b.ScanFFs <= 0 {
-			continue
-		}
-		var total int64
-		for j := range b.Stages {
-			total += b.Stages[j].MedianNS
-		}
-		if total > 0 {
-			rates = append(rates, float64(total)/float64(b.ScanFFs))
-		}
-	}
-	if len(rates) > 0 {
-		sort.Float64s(rates)
-		m.nsPerFF = rates[len(rates)/2]
-	}
-	return m
-}
-
-// bindMetrics registers the per-job cost-rate histogram the windowed
-// percentiles are computed from.
+// bindMetrics registers the per-job cost-rate histogram.
 func (m *costModel) bindMetrics(reg *obs.Registry) {
-	if m == nil || reg == nil {
-		return
-	}
 	reg.SetHelp("serve_job_cost_ns_per_ff",
 		"Per-job analysis cost rate in nanoseconds per scan flip-flop; "+
-			"the windowed p90 drives the /v1/load backlog prediction.")
+			"the p90 of the recent rates drives the /v1/load backlog prediction.")
 	m.costHist = reg.Histogram("serve_job_cost_ns_per_ff", costBounds...)
 }
 
-// bindHistory attaches the series store the windowed percentiles read
-// from; without it the model is EWMA-only.
-func (m *costModel) bindHistory(st *series.Store) {
-	if m != nil {
-		m.history = st
-	}
-}
-
-// observe folds one finished job into the model.
+// observe folds one finished job into its window.
 func (m *costModel) observe(scanFFs int, d time.Duration) {
-	if m == nil || d <= 0 {
+	if d <= 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	blend := func(cur, sample float64) float64 {
-		if cur == 0 {
-			return sample
-		}
-		return cur + m.alpha*(sample-cur)
+	if scanFFs <= 0 {
+		m.whole.add(float64(d))
+		return
 	}
-	if scanFFs > 0 {
-		rate := float64(d) / float64(scanFFs)
-		m.nsPerFF = blend(m.nsPerFF, rate)
-		if m.costHist != nil {
-			m.costHist.Observe(rate)
-		}
+	rate := float64(d) / float64(scanFFs)
+	m.perFF.add(rate)
+	if m.costHist != nil {
+		m.costHist.Observe(rate)
 	}
-	m.jobNS = blend(m.jobNS, float64(d))
 }
 
-// quantiles returns the windowed (p50, p90) ns-per-FF rates, memoized
-// for one sampling interval; ok is false while the window is empty
-// (history disabled, or no sized job finished inside the retention).
-func (m *costModel) quantiles() (p50, p90 float64, ok bool) {
-	if m == nil || m.history == nil {
-		return 0, 0, false
-	}
+// rates returns the p50 and p90 of the ns-per-FF window (0 while it is
+// empty).
+func (m *costModel) rates() (p50, p90 float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.quantilesLocked(time.Now())
+	return m.perFF.p50, m.perFF.p90
 }
 
-func (m *costModel) quantilesLocked(now time.Time) (p50, p90 float64, ok bool) {
-	if m.history == nil {
-		return 0, 0, false
-	}
-	if !m.qAt.IsZero() && now.Sub(m.qAt) >= 0 && now.Sub(m.qAt) < m.history.Interval() {
-		return m.q50, m.q90, m.q90 > 0
-	}
-	m.qAt = now
-	m.q50, m.q90 = 0, 0
-	d, found := m.history.FamilyHistogramWindow("serve_job_cost_ns_per_ff", m.history.Retention(), now)
-	if !found {
-		return 0, 0, false
-	}
-	p50, p90 = d.Quantile(0.5), d.Quantile(0.9)
-	if math.IsNaN(p50) || math.IsNaN(p90) || math.IsInf(p90, 0) {
-		return 0, 0, false
-	}
-	m.q50, m.q90 = p50, p90
-	return p50, p90, true
-}
-
-// estimate predicts a job's run time; 0 when the model knows nothing
-// yet. Sized jobs prefer the windowed p90 rate (conservative: the
-// backlog signal gates /readyz, and under-promising wait time is the
-// harmful direction), then the EWMA rate; sizeless jobs use the
-// whole-job EWMA.
+// estimate predicts a job's run time from the p90 of its window (the
+// conservative side: the backlog signal gates /readyz, and
+// under-promising wait time is the harmful direction).
 func (m *costModel) estimate(scanFFs int) time.Duration {
-	if m == nil {
-		return 0
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if scanFFs > 0 {
-		if _, p90, ok := m.quantilesLocked(time.Now()); ok {
-			return time.Duration(p90 * float64(scanFFs))
-		}
-		if m.nsPerFF > 0 {
-			return time.Duration(m.nsPerFF * float64(scanFFs))
-		}
+	if scanFFs <= 0 {
+		return time.Duration(m.whole.p90)
 	}
-	return time.Duration(m.jobNS)
+	return time.Duration(m.perFF.p90 * float64(scanFFs))
 }
 
 // jobCost estimates one scheduled job's total run time for the load
@@ -245,9 +176,7 @@ func (s *Server) loadStatus() LoadStatus {
 		st.SaturationThresholdSeconds = t.Seconds()
 		st.Saturated = backlog >= t
 	}
-	if p50, p90, ok := s.cost.quantiles(); ok {
-		st.CostP50NSPerFF, st.CostP90NSPerFF = p50, p90
-	}
+	st.CostP50NSPerFF, st.CostP90NSPerFF = s.cost.rates()
 	return st
 }
 

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs/perfrec"
+	"repro/internal/obs"
 )
 
 func getLoad(t *testing.T, base string) LoadStatus {
@@ -129,37 +129,84 @@ func TestLoadSignalUnderSaturation(t *testing.T) {
 	_ = srv
 }
 
-// TestCostModel covers the predicted-backlog estimator: seeding from a
-// bench record, EWMA refinement from observed jobs, and the whole-job
-// fallback for jobs of unknown size.
+// TestCostModel covers the predicted-backlog estimator: a cold window
+// predicts 0, sized jobs read the ns-per-FF window, jobs of unknown
+// size (deltas) read the whole-job window, and the window forgets jobs
+// older than its size.
 func TestCostModel(t *testing.T) {
-	m := newCostModel(nil, 0)
-	if got := m.estimate(100); got != 0 {
-		t.Fatalf("cold model estimate = %v, want 0", got)
+	var m costModel
+	if a, b, c := m.estimate(100), m.estimate(0), m.estimate(1); a != 0 || b != 0 || c != 0 {
+		t.Fatalf("cold estimates = %v, %v, %v, want 0", a, b, c)
 	}
-	// First observation is adopted outright; later ones blend.
+	if p50, p90 := m.rates(); p50 != 0 || p90 != 0 {
+		t.Fatalf("cold rates = %v, %v, want 0", p50, p90)
+	}
+
 	m.observe(100, 100*time.Millisecond) // 1ms per FF
 	if got := m.estimate(50); got != 50*time.Millisecond {
 		t.Fatalf("estimate(50) = %v, want 50ms", got)
 	}
-	m.observe(100, 200*time.Millisecond)
-	est := m.estimate(100)
-	if est <= 100*time.Millisecond || est >= 200*time.Millisecond {
-		t.Fatalf("EWMA estimate = %v, want between the observations", est)
-	}
-	// Unknown size falls back to the whole-job EWMA.
-	if got := m.estimate(0); got <= 0 {
-		t.Fatalf("whole-job fallback = %v", got)
+	if got := m.estimate(0); got != 0 {
+		t.Fatalf("a sized job fed the whole-job window: estimate(0) = %v", got)
 	}
 
-	// A bench record seeds ns-per-FF before any job has run: 2e6 ns
-	// over 1000 FFs = 2000 ns/FF median.
-	rec := &perfrec.Record{Benchmarks: []perfrec.Benchmark{
-		{ScanFFs: 1000, Stages: []perfrec.Stage{{MedianNS: 1_000_000}, {MedianNS: 1_000_000}}},
-		{ScanFFs: 0, Stages: []perfrec.Stage{{MedianNS: 5_000_000}}}, // ignored: no size
-	}}
-	seeded := newCostModel(rec, 0)
-	if got := seeded.estimate(1000); got != 2*time.Millisecond {
-		t.Fatalf("seeded estimate(1000) = %v, want 2ms", got)
+	// A delta lands in the whole-job window only.
+	m.observe(0, 7*time.Millisecond)
+	if got := m.estimate(0); got != 7*time.Millisecond {
+		t.Fatalf("delta estimate = %v, want 7ms", got)
+	}
+	if got := m.estimate(50); got != 50*time.Millisecond {
+		t.Fatalf("a delta moved the per-FF window: estimate(50) = %v", got)
+	}
+
+	// A full window of 2ms/FF jobs evicts the 1ms/FF one.
+	for i := 0; i < costWindowSize; i++ {
+		m.observe(10, 20*time.Millisecond)
+	}
+	if p50, p90 := m.rates(); p50 != 2e6 || p90 != 2e6 {
+		t.Fatalf("rates after a full window = %v, %v, want 2e6", p50, p90)
+	}
+}
+
+// TestBacklogDivergesFromPureEWMAUnderBimodalMix is the acceptance
+// test for the windowed predictor: under a bimodal job mix (cheap
+// analyses interleaved with SAT-heavy ones) the p90 prediction
+// reflects the slow mode while an EWMA blends the modes into a rate
+// that describes neither.
+func TestBacklogDivergesFromPureEWMAUnderBimodalMix(t *testing.T) {
+	var m costModel
+	m.bindMetrics(obs.NewRegistry())
+	const ffs = 1000
+	fast := time.Duration(ffs) * 2 * time.Microsecond // 2e3 ns/FF
+	slow := time.Duration(ffs) * 2 * time.Millisecond // 2e6 ns/FF
+	var ewma float64                                  // the EWMA rate, for comparison
+	for i := 0; i < 25; i++ {                         // interleaved bimodal mix
+		for _, d := range []time.Duration{slow, fast} { // ends on a fast job
+			m.observe(ffs, d)
+			rate := float64(d) / ffs
+			if ewma == 0 {
+				ewma = rate
+			} else {
+				ewma += 0.3 * (rate - ewma)
+			}
+		}
+	}
+
+	p50, p90 := m.rates()
+	if p50 != 2e3 {
+		t.Fatalf("p50 = %v, want the fast mode (2e3)", p50)
+	}
+	if p90 != 2e6 {
+		t.Fatalf("p90 = %v, want the slow mode (2e6)", p90)
+	}
+	est := m.estimate(ffs)
+	ewmaEst := time.Duration(ewma * ffs)
+	// The EWMA ends just after a fast sample, so it underestimates the
+	// mix's tail badly; the windowed p90 stays at the slow mode.
+	if est != slow {
+		t.Fatalf("windowed estimate = %v, want %v (slow mode)", est, slow)
+	}
+	if ewmaEst*2 > est {
+		t.Fatalf("divergence too small: ewma=%v window=%v", ewmaEst, est)
 	}
 }

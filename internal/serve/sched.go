@@ -5,11 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
+	"repro/internal/obs/olog"
 )
 
 // Scheduler errors surfaced to the HTTP layer.
@@ -185,10 +186,12 @@ type SchedulerConfig struct {
 	// FinishedJobs bounds the retained finished-job records (status
 	// remains queryable until evicted); <= 0 uses 1024.
 	FinishedJobs int
-	// Flight, when non-nil, receives one flight-recorder event per
-	// scheduler decision (enqueue, coalesce, reject, cancel) and job
-	// lifecycle transition (start, done, failed, canceled, timeout).
-	Flight *flight.Recorder
+	// Logger, when non-nil, receives one record per scheduler decision
+	// (component "sched": enqueue, coalesce, reject, cancel, and the
+	// cache disposition of finished inserts such as hit) and job
+	// lifecycle transition (component "job": start, done, failed,
+	// canceled, timeout).
+	Logger *slog.Logger
 }
 
 func (c SchedulerConfig) workers() int {
@@ -220,8 +223,10 @@ type runFunc func(ctx context.Context, j *Job) ([]byte, error)
 // identical in-flight submissions, supports per-job timeouts and
 // client cancellation, and drains gracefully on shutdown.
 type Scheduler struct {
-	cfg SchedulerConfig
-	run runFunc
+	cfg    SchedulerConfig
+	run    runFunc
+	logS   *slog.Logger // component "sched"
+	logJob *slog.Logger // component "job"
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -247,6 +252,8 @@ func NewScheduler(cfg SchedulerConfig, reg *obs.Registry, run runFunc) *Schedule
 	s := &Scheduler{
 		cfg:         cfg,
 		run:         run,
+		logS:        olog.Component(cfg.Logger, "sched"),
+		logJob:      olog.Component(cfg.Logger, "job"),
 		byID:        make(map[string]*Job),
 		byKey:       make(map[string]*Job),
 		queueDepthG: reg.Gauge("serve_queue_depth"),
@@ -274,7 +281,7 @@ func NewScheduler(cfg SchedulerConfig, reg *obs.Registry, run runFunc) *Schedule
 //
 // ctx is the submitting request's context: its obs.ReqInfo (request
 // ID, trace context) is copied onto the job record and re-attached to
-// the job's own run context, so logs, spans and flight events emitted
+// the job's own run context, so logs and spans emitted
 // by the worker goroutine — long after the HTTP handler returned —
 // still correlate back to the request. The job's lifetime is NOT
 // bound to ctx (a submission outlives its HTTP request by design).
@@ -287,12 +294,12 @@ func (s *Scheduler) Submit(ctx context.Context, key, label string, priority int,
 	}
 	if existing, ok := s.byKey[key]; ok {
 		s.coalesced.Inc()
-		s.event("sched", "coalesce", existing, ri, "joined by "+orUnknown(ri.RequestID))
+		logEvent(ctx, s.logS, "coalesce", existing.ID, "joined by "+orUnknown(ri.RequestID))
 		return existing, true, nil
 	}
 	if len(s.queue) >= s.cfg.queueDepth() {
 		s.rejected.Inc()
-		s.event("sched", "reject", nil, ri, "queue full ("+shortKey(key)+")")
+		logEvent(ctx, s.logS, "reject", "", "queue full ("+shortKey(key)+")")
 		return nil, false, ErrQueueFull
 	}
 	if s.cfg.JobTimeout > 0 && (timeout <= 0 || timeout > s.cfg.JobTimeout) {
@@ -323,24 +330,26 @@ func (s *Scheduler) Submit(ctx context.Context, key, label string, priority int,
 	s.byID[j.ID] = j
 	s.byKey[key] = j
 	s.queueDepthG.Set(int64(len(s.queue)))
-	s.event("sched", "enqueue", j, ri, label)
+	logEvent(ctx, s.logS, "enqueue", j.ID, label)
 	s.cond.Signal()
 	return j, false, nil
 }
 
-// event records one flight-recorder event (no-op without a recorder).
-// Safe to call with the scheduler lock held: the recorder takes only
-// its own short per-ring lock.
-func (s *Scheduler) event(cat, name string, j *Job, ri obs.ReqInfo, detail string) {
-	ev := flight.Event{Cat: cat, Name: name, Detail: detail,
-		RequestID: ri.RequestID, TraceID: ri.Trace.TraceID}
-	if j != nil {
-		ev.Job = j.ID
-		if ev.RequestID == "" {
-			ev.RequestID, ev.TraceID = j.RequestID, j.TraceID
-		}
+// logEvent logs one occurrence as a record the flight recorder rings:
+// the message is the event name, job (when set) and detail are
+// attributes, and ctx supplies the request identity. Failures log at
+// Warn. The scheduler logs its decisions with its lock held, so they
+// ring in lifecycle order (an enqueue always precedes its start).
+func logEvent(ctx context.Context, lg *slog.Logger, name, job, detail string) {
+	lvl := slog.LevelInfo
+	if name == "failed" || name == "timeout" {
+		lvl = slog.LevelWarn
 	}
-	s.cfg.Flight.Record(ev)
+	if job == "" {
+		lg.LogAttrs(ctx, lvl, name, slog.String("detail", detail))
+		return
+	}
+	lg.LogAttrs(ctx, lvl, name, slog.String("job", job), slog.String("detail", detail))
 }
 
 func orUnknown(s string) string {
@@ -377,7 +386,7 @@ func (s *Scheduler) InsertFinished(ctx context.Context, key, label, cache string
 	close(j.done)
 	s.byID[j.ID] = j
 	s.recordFinishedLocked(j)
-	s.event("sched", cache, j, ri, label)
+	logEvent(ctx, s.logS, cache, j.ID, label)
 	return j
 }
 
@@ -402,7 +411,7 @@ func (s *Scheduler) worker() {
 		waited := j.startedAt.Sub(j.enqueuedAt)
 		s.mu.Unlock()
 
-		s.event("job", "start", j, obs.ReqInfo{}, "waited "+waited.Round(time.Millisecond).String())
+		logEvent(j.ctx, s.logJob, "start", j.ID, "waited "+waited.Round(time.Millisecond).String())
 		s.executed.Inc()
 		result, err := s.run(j.ctx, j)
 		j.cancel() // release the timeout timer
@@ -435,7 +444,7 @@ func (s *Scheduler) worker() {
 		s.recordFinishedLocked(j)
 		close(j.done)
 		s.mu.Unlock()
-		s.event("job", evName, j, obs.ReqInfo{}, evDetail)
+		logEvent(j.ctx, s.logJob, evName, j.ID, evDetail)
 	}
 }
 
@@ -513,11 +522,11 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 		s.canceledC.Inc()
 		s.recordFinishedLocked(j)
 		close(j.done)
-		s.event("sched", "cancel", j, obs.ReqInfo{}, "canceled while queued")
+		logEvent(j.ctx, s.logS, "cancel", j.ID, "canceled while queued")
 	case StateRunning:
 		j.canceling = true
 		j.cancel()
-		s.event("sched", "cancel", j, obs.ReqInfo{}, "cancel requested while running")
+		logEvent(j.ctx, s.logS, "cancel", j.ID, "cancel requested while running")
 	default:
 		return j.statusLocked(), ErrJobFinished
 	}
@@ -638,7 +647,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		s.canceledC.Inc()
 		s.recordFinishedLocked(j)
 		close(j.done)
-		s.event("sched", "cancel", j, obs.ReqInfo{}, "shutdown drain deadline")
+		logEvent(j.ctx, s.logS, "cancel", j.ID, "shutdown drain deadline")
 	}
 	s.queueDepthG.Set(0)
 	s.mu.Unlock()

@@ -41,7 +41,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/olog"
-	"repro/internal/obs/perfrec"
 	"repro/internal/obs/series"
 	"repro/internal/obs/slo"
 )
@@ -105,33 +104,24 @@ type Config struct {
 	// on Shutdown. Required for SlowJobThreshold to take effect.
 	SlowJobLog io.Writer
 	// Logger receives the server's structured records (lifecycle
-	// events, one access-log line per request, job transitions). Build
-	// it with olog.New so records pick up the request identity from
-	// their context. Nil falls back to bridging Logf; with both nil the
-	// server is silent.
+	// events, one access-log line per request, job transitions,
+	// scheduler and store decisions). Build it with olog.New so records
+	// pick up the request identity from their context. Nil keeps the
+	// server silent; the flight recorder still rings its records.
 	Logger *slog.Logger
-	// Logf, when non-nil (and Logger nil), receives one rendered line
-	// per event — the legacy printf seam, kept for embedders.
-	Logf func(format string, args ...any)
-	// FlightEvents sizes the flight recorder's per-category rings
-	// (served at /debug/events, embedded in slow-job dumps): 0 uses
-	// 256, < 0 disables the recorder entirely.
+	// FlightEvents sizes the flight recorder's per-component rings of
+	// Info+ log records (served at /debug/events, embedded in slow-job
+	// dumps): 0 uses 256, < 0 disables the recorder entirely.
 	FlightEvents int
-	// LoadModel, when non-nil, seeds the predicted-backlog cost model
-	// from a bench record's per-stage medians (see load.go); without it
-	// the model warms up from observed job durations alone.
-	LoadModel *perfrec.Record
 	// SaturationThreshold flips /readyz to 503 "saturated" while the
 	// predicted backlog meets or exceeds it; 0 disables the gate.
 	SaturationThreshold time.Duration
-	// LoadEWMAAlpha overrides the cost model's EWMA weight; 0 uses the
-	// default (0.3), anything outside (0, 1] is rejected by New.
-	LoadEWMAAlpha float64
 	// History, when non-nil, enables the in-process metrics history: a
 	// bounded series store sampling the registry on History.Interval
-	// (served at /debug/metrics/history, feeding the SLO engine and the
-	// windowed cost percentiles). Nil disables it — unless SLO is set,
-	// which enables history with defaults sized to the objectives.
+	// (served at /debug/metrics/history, feeding the SLO engine). Nil
+	// disables it — unless SLO is set, which enables history with
+	// defaults. With SLO set, a zero Retention is stretched to the
+	// slowest objective window.
 	History *series.Config
 	// SLO, when non-nil, evaluates the objectives against the metrics
 	// history: /v1/slo serves the status document, slo_* gauges appear
@@ -176,15 +166,17 @@ type Server struct {
 	// log carries lifecycle and job records ("serve" component);
 	// httpLog carries the per-request access log ("http" component);
 	// engLog is the base for per-job engine progress ("engine").
+	// atkLog carries attack submissions and outcomes ("attack").
 	log     *slog.Logger
 	httpLog *slog.Logger
 	engLog  *slog.Logger
+	atkLog  *slog.Logger
 	flight  *flight.Recorder
-	cost    *costModel
+	cost    costModel
 	history *series.Store
 	sloEng  *slo.Engine
 
-	slowLog  *slowJobLog
+	slowLog  *obs.BufferedJSONLSink
 	slowJobs *obs.Counter
 	profMu   sync.Mutex // the CPU profiler is process-global
 
@@ -211,25 +203,26 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	if a := cfg.LoadEWMAAlpha; a < 0 || a > 1 {
-		return nil, fmt.Errorf("serve: load EWMA alpha %v outside (0, 1]", a)
+	// The flight recorder tees every Info+ record of the server's
+	// logger into its rings: one log call is both the log line and the
+	// ring entry. The access log bypasses it: it is already a complete
+	// per-request journal, and ringing it would make every poll of
+	// /debug/events a new event.
+	raw := cfg.Logger
+	if raw == nil {
+		raw = olog.Discard()
 	}
+	base := raw
 	var rec *flight.Recorder
 	if cfg.FlightEvents >= 0 {
 		rec = flight.New(cfg.FlightEvents)
+		base = slog.New(rec.Tee(base.Handler()))
 	}
 	storeCfg := cfg.Store
-	storeCfg.Flight = rec
+	storeCfg.Logger = base
 	store, err := NewStore(storeCfg, cfg.Registry)
 	if err != nil {
 		return nil, err
-	}
-	base := cfg.Logger
-	if base == nil && cfg.Logf != nil {
-		base = olog.NewPrintfLogger(cfg.Logf, nil)
-	}
-	if base == nil {
-		base = olog.Discard()
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -237,10 +230,10 @@ func New(cfg Config) (*Server, error) {
 		store:    store,
 		tracer:   cfg.Tracer,
 		log:      olog.Component(base, "serve"),
-		httpLog:  olog.Component(base, "http"),
+		httpLog:  olog.Component(raw, "http"),
 		engLog:   olog.Component(base, "engine"),
+		atkLog:   olog.Component(base, "attack"),
 		flight:   rec,
-		cost:     newCostModel(cfg.LoadModel, cfg.LoadEWMAAlpha),
 		sessions: make(map[string]*session),
 		// Engine stage counters aggregate across jobs on the server
 		// registry (engine_stage_*_total{stage=...}): per-job numbers
@@ -251,7 +244,7 @@ func New(cfg Config) (*Server, error) {
 	s.atkMetrics = newAttackMetrics(cfg.Registry)
 	s.runJob = s.execute
 	if cfg.SlowJobThreshold > 0 && cfg.SlowJobLog != nil {
-		s.slowLog = newSlowJobLog(cfg.SlowJobLog)
+		s.slowLog = obs.NewBufferedJSONLSink(cfg.SlowJobLog)
 		cfg.Registry.SetHelp("serve_slow_jobs_total", "Jobs that breached the slow-job threshold and dumped their span tree.")
 		s.slowJobs = cfg.Registry.Counter("serve_slow_jobs_total")
 	}
@@ -262,23 +255,26 @@ func New(cfg Config) (*Server, error) {
 		QueueDepth:   cfg.QueueDepth,
 		JobTimeout:   cfg.JobTimeout,
 		FinishedJobs: cfg.FinishedJobs,
-		Flight:       rec,
+		Logger:       base,
 	}, cfg.Registry, s.dispatch)
 	s.registerLoadGauges()
 	s.cost.bindMetrics(cfg.Registry)
-	// SLO evaluation needs history; an SLO config without one enables
-	// the series store with defaults stretched to cover the slowest
+	// SLO evaluation needs history: an SLO config enables the series
+	// store, with an unset retention stretched to cover the slowest
 	// objective window.
 	histCfg := cfg.History
-	if histCfg == nil && cfg.SLO != nil {
-		histCfg = &series.Config{}
-		if w := cfg.SLO.MaxWindow(); w > histCfg.Retention {
-			histCfg.Retention = w
+	if cfg.SLO != nil {
+		hc := series.Config{}
+		if histCfg != nil {
+			hc = *histCfg
 		}
+		if hc.Retention == 0 {
+			hc.Retention = cfg.SLO.MaxWindow()
+		}
+		histCfg = &hc
 	}
 	if histCfg != nil {
 		s.history = series.NewStore(cfg.Registry, *histCfg)
-		s.cost.bindHistory(s.history)
 	}
 	if cfg.SLO != nil {
 		eng, err := slo.NewEngine(cfg.SLO, s.history, cfg.Registry)

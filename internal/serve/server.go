@@ -210,8 +210,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if a.profile == "" {
 		if data, ok := s.store.Get(a.key); ok {
 			j := s.sched.InsertFinished(r.Context(), a.key, a.label, "hit", data)
-			s.log.LogAttrs(r.Context(), slog.LevelInfo, "served from store",
-				slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
 			writeJSON(w, http.StatusOK, s.status(j))
 			return
 		}
@@ -309,7 +307,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrJobFinished):
 		writeJSON(w, http.StatusConflict, st)
 	default:
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "cancel requested", slog.String("job", st.ID))
 		writeJSON(w, http.StatusOK, st)
 	}
 }

@@ -1,15 +1,11 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"log/slog"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -20,7 +16,7 @@ import (
 // identity (including the submitting request's, so the dump joins the
 // access log and trace journal), its measured duration against the
 // configured threshold, the full span tree of the run, and the
-// flight-recorder events the job left behind.
+// flight-recorder records the job left behind (its ring entries).
 type slowJobEntry struct {
 	Time        string         `json:"time"`
 	JobID       string         `json:"job_id"`
@@ -32,32 +28,6 @@ type slowJobEntry struct {
 	ThresholdMS int64          `json:"threshold_ms"`
 	Spans       []obs.Event    `json:"spans,omitempty"`
 	Events      []flight.Event `json:"events,omitempty"`
-}
-
-// slowJobLog serializes slow-job entries as buffered JSON lines.
-// Flush on graceful shutdown pushes buffered entries to the
-// underlying writer.
-type slowJobLog struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-}
-
-func newSlowJobLog(w io.Writer) *slowJobLog {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	return &slowJobLog{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-func (l *slowJobLog) record(e slowJobEntry) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.enc.Encode(e)
-}
-
-func (l *slowJobLog) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bw.Flush()
 }
 
 // dispatch is the scheduler's run function: it wraps the job execution
@@ -114,7 +84,7 @@ func (s *Server) dispatch(ctx context.Context, j *Job) ([]byte, error) {
 			Spans:       collector.Events(),
 			Events:      s.flight.ForJob(j.ID),
 		}
-		if lerr := s.slowLog.record(entry); lerr != nil {
+		if lerr := s.slowLog.Encode(entry); lerr != nil {
 			s.log.LogAttrs(ctx, slog.LevelError, "slow-job log write failed",
 				slog.String("job", j.ID), slog.String("err", lerr.Error()))
 		} else {
@@ -182,7 +152,9 @@ func (s *Server) runWithProfile(ctx context.Context, j *Job) ([]byte, error) {
 func (s *Server) saveProfile(j *Job, a *analysis, kind string, data []byte) {
 	s.sched.SetProfile(j, kind, data)
 	if err := s.store.PutProfile(a.key, kind, data); err != nil {
-		s.log.Warn("store profile failed", "job", j.ID, "err", err)
+		s.log.LogAttrs(j.ctx, slog.LevelWarn, "store profile failed",
+			slog.String("job", j.ID), slog.String("err", err.Error()))
 	}
-	s.log.Info("profile captured", "job", j.ID, "kind", kind, "bytes", len(data))
+	s.log.LogAttrs(j.ctx, slog.LevelInfo, "profile captured",
+		slog.String("job", j.ID), slog.String("kind", kind), slog.Int("bytes", len(data)))
 }

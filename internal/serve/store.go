@@ -2,13 +2,15 @@ package serve
 
 import (
 	"container/list"
+	"context"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
+	"repro/internal/obs/olog"
 )
 
 // StoreConfig sizes the content-addressed result store.
@@ -23,9 +25,9 @@ type StoreConfig struct {
 	// lost to a restart — are transparently re-read from disk, so
 	// identical re-submissions stay cache hits across process lives.
 	Dir string
-	// Flight, when non-nil, receives one flight-recorder event per
-	// store decision (hit, miss, disk-hit, put, evict).
-	Flight *flight.Recorder
+	// Logger, when non-nil, receives one record per store decision
+	// (component "store": hit, miss, disk-hit, put, evict).
+	Logger *slog.Logger
 }
 
 func (c StoreConfig) maxEntries() int {
@@ -50,6 +52,7 @@ func (c StoreConfig) maxBytes() int64 {
 type Store struct {
 	mu    sync.Mutex
 	cfg   StoreConfig
+	log   *slog.Logger
 	ll    *list.List // front = most recently used
 	byKey map[string]*list.Element
 	bytes int64
@@ -77,6 +80,7 @@ func NewStore(cfg StoreConfig, reg *obs.Registry) (*Store, error) {
 	reg.SetHelp("serve_store_misses_total", "Analysis submissions not present in the store.")
 	return &Store{
 		cfg:      cfg,
+		log:      olog.Component(cfg.Logger, "store"),
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
 		hits:     reg.Counter("serve_store_hits_total"),
@@ -122,9 +126,9 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// event records one store flight event (no-op without a recorder).
+// event logs one store decision.
 func (s *Store) event(name, key string) {
-	s.cfg.Flight.Record(flight.Event{Cat: "store", Name: name, Detail: shortKey(key)})
+	logEvent(context.Background(), s.log, name, "", shortKey(key))
 }
 
 // Contains reports whether key is resident (memory or disk) without
@@ -201,8 +205,8 @@ func (s *Store) PutProfile(key, kind string, data []byte) error {
 // insert adds or refreshes the in-memory entry and evicts LRU tails
 // beyond the entry and byte bounds.
 func (s *Store) insert(key string, data []byte, overwrite bool) {
+	var evicted []string
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if el, ok := s.byKey[key]; ok {
 		if overwrite {
 			e := el.Value.(*storeEntry)
@@ -220,10 +224,14 @@ func (s *Store) insert(key string, data []byte, overwrite bool) {
 		s.ll.Remove(back)
 		delete(s.byKey, e.key)
 		s.bytes -= int64(len(e.data))
-		s.event("evict", e.key)
+		evicted = append(evicted, e.key)
 	}
 	s.entriesG.Set(int64(s.ll.Len()))
 	s.bytesG.Set(s.bytes)
+	s.mu.Unlock()
+	for _, k := range evicted {
+		s.event("evict", k)
+	}
 }
 
 // Len returns the number of in-memory entries.

@@ -221,13 +221,13 @@ func TestRequestIdentityMinted(t *testing.T) {
 }
 
 // TestAccessLogFlushOnShutdown is the flush audit: access-log records
-// buffered in an olog.BufferedWriter must all reach the underlying
+// buffered in an obs.BufferedJSONLSink must all reach the underlying
 // writer once the server shut down and the buffer flushed — the
 // rsnserved -log-file path. Run under -race this also audits the
 // handler-goroutine/shutdown-goroutine handoff.
 func TestAccessLogFlushOnShutdown(t *testing.T) {
 	under := &syncBuffer{}
-	bw := olog.NewBufferedWriter(under)
+	bw := obs.NewBufferedJSONLSink(under)
 	lg := olog.New(olog.Options{Writer: bw, Format: "json"})
 	srv, err := New(Config{Logger: lg})
 	if err != nil {
@@ -265,5 +265,74 @@ func TestAccessLogFlushOnShutdown(t *testing.T) {
 	}
 	if access != n {
 		t.Fatalf("flushed access lines = %d, want %d (dropped tail)", access, n)
+	}
+}
+
+// TestJobEventsOnOnePath checks that one log call is both the log line
+// and the flight-recorder entry: a submission yields exactly one
+// enqueue, start and done record each, and the log output and
+// /debug/events?job= carry the same records with the same request and
+// trace IDs.
+func TestJobEventsOnOnePath(t *testing.T) {
+	const (
+		reqID   = "req-one-path"
+		traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	)
+	logBuf := &syncBuffer{}
+	_, ts := testServer(t, Config{
+		Logger: olog.New(olog.Options{Writer: logBuf, Format: "json"}),
+	}, func(ctx context.Context, j *Job) ([]byte, error) {
+		return []byte(`{"stub":"ok"}`), nil
+	})
+	code, _, data := doWithIdentity(t, "POST", ts.URL+"/v1/analyses",
+		`{"benchmark":"TreeFlat","circuits":1,"specs":1,"seed":5}`,
+		reqID, "00-"+traceID+"-00f067aa0ba902b7-01")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", code, data)
+	}
+	id := decodeStatus(t, data).ID
+	pollDone(t, ts.URL, id)
+
+	type rec struct{ cat, name, detail, reqID, traceID string }
+	var logged []rec
+	for _, m := range jsonLines(t, logBuf) {
+		if m["job"] != id {
+			continue
+		}
+		str := func(k string) string { s, _ := m[k].(string); return s }
+		logged = append(logged, rec{str("component"), str("msg"), str("detail"), str("request_id"), str("trace_id")})
+	}
+	code, _, evData := getBody(t, ts.URL+"/debug/events?job="+id)
+	if code != http.StatusOK {
+		t.Fatalf("/debug/events: HTTP %d: %s", code, evData)
+	}
+	var evResp struct {
+		Events []flight.Event `json:"events"`
+	}
+	if err := json.Unmarshal(evData, &evResp); err != nil {
+		t.Fatalf("decode events: %v\n%s", err, evData)
+	}
+	var rung []rec
+	for _, ev := range evResp.Events {
+		rung = append(rung, rec{ev.Cat, ev.Name, ev.Detail, ev.RequestID, ev.TraceID})
+	}
+
+	if len(logged) != len(rung) {
+		t.Fatalf("log has %d job records, ring has %d:\nlog  %v\nring %v", len(logged), len(rung), logged, rung)
+	}
+	count := map[string]int{}
+	for i, r := range rung {
+		if logged[i] != r {
+			t.Errorf("record %d: log %+v, ring %+v", i, logged[i], r)
+		}
+		if r.reqID != reqID || r.traceID != traceID {
+			t.Errorf("record %s/%s identity = %q/%q", r.cat, r.name, r.reqID, r.traceID)
+		}
+		count[r.cat+"/"+r.name]++
+	}
+	for _, want := range []string{"sched/enqueue", "job/start", "job/done"} {
+		if count[want] != 1 {
+			t.Errorf("%s records = %d, want 1 (all: %v)", want, count[want], count)
+		}
 	}
 }
