@@ -659,40 +659,6 @@ func rebuildReverse(m *Matrix) {
 	}
 }
 
-// ClosureK computes the k-cycle-bounded dependency relation in place:
-// entry (i, j) is set when a dependency chain of at most k 1-cycle
-// links leads from j to i (the bounded variant of the HVC 2016
-// iterative computation; Closure is the k → ∞ fixpoint). k <= 1 leaves
-// the matrix unchanged.
-func ClosureK(m *Matrix, k int) {
-	if k <= 1 {
-		return
-	}
-	// Relax k-1 times: D_{t+1} = D_t ∪ D_1∘D_t, each step against a
-	// frozen snapshot so chains never exceed t+1 links.
-	base := m.Clone()
-	for step := 1; step < k; step++ {
-		prev := m.Clone()
-		changed := false
-		for i := 0; i < m.n; i++ {
-			base.path[i].ForEach(func(via int) {
-				if m.path[i].Or(prev.path[via]) {
-					changed = true
-				}
-			})
-			base.str[i].ForEach(func(via int) {
-				if m.str[i].Or(prev.str[via]) {
-					changed = true
-				}
-			})
-		}
-		if !changed {
-			break
-		}
-	}
-	rebuildReverse(m)
-}
-
 // Compute runs the full data-flow analysis of Section III-A over the
 // circuit: 1-cycle dependencies, bridging over the internal flip-flops,
 // and the iterative multi-cycle closure on the reduced (denoted) set.

@@ -610,7 +610,7 @@ func TestClosureKBounded(t *testing.T) {
 		m.Set(i, i-1, Path)
 	}
 	k2 := m.Clone()
-	ClosureK(k2, 2)
+	closureK(k2, 2)
 	if k2.Kind(2, 0) != Path {
 		t.Fatal("2-chain missing at k=2")
 	}
@@ -618,12 +618,12 @@ func TestClosureKBounded(t *testing.T) {
 		t.Fatal("3-chain must be absent at k=2")
 	}
 	k3 := m.Clone()
-	ClosureK(k3, 3)
+	closureK(k3, 3)
 	if k3.Kind(3, 0) != Path || k3.Kind(4, 0) != None {
 		t.Fatalf("k=3 bounds wrong: %v %v", k3.Kind(3, 0), k3.Kind(4, 0))
 	}
 	full := m.Clone()
-	ClosureK(full, 10)
+	closureK(full, 10)
 	if full.Kind(4, 0) != Path {
 		t.Fatal("full chain missing at large k")
 	}
@@ -638,13 +638,13 @@ func TestClosureKConvergesToClosure(t *testing.T) {
 			m.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 		}
 		bounded := m.Clone()
-		ClosureK(bounded, n+1) // chains longer than n repeat a node
+		closureK(bounded, n+1) // chains longer than n repeat a node
 		fixpoint := m.Clone()
 		Closure(fixpoint)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if bounded.Kind(i, j) != fixpoint.Kind(i, j) {
-					t.Fatalf("iter %d: ClosureK(n+1) != Closure at (%d,%d)", iter, i, j)
+					t.Fatalf("iter %d: closureK(n+1) != Closure at (%d,%d)", iter, i, j)
 				}
 			}
 		}
@@ -659,10 +659,10 @@ func TestClosureKMonotoneInK(t *testing.T) {
 		m.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 	}
 	prev := m.Clone()
-	ClosureK(prev, 1)
+	closureK(prev, 1)
 	for k := 2; k <= 6; k++ {
 		cur := m.Clone()
-		ClosureK(cur, k)
+		closureK(cur, k)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if cur.Kind(i, j) < prev.Kind(i, j) {
@@ -672,4 +672,39 @@ func TestClosureKMonotoneInK(t *testing.T) {
 		}
 		prev = cur
 	}
+}
+
+// closureK computes the k-cycle-bounded dependency relation in place:
+// entry (i, j) is set when a dependency chain of at most k 1-cycle
+// links leads from j to i (the bounded variant of the HVC 2016
+// iterative computation; Closure is the k → ∞ fixpoint). k <= 1 leaves
+// the matrix unchanged. It is the reference the bounded-closure tests
+// check against Closure.
+func closureK(m *Matrix, k int) {
+	if k <= 1 {
+		return
+	}
+	// Relax k-1 times: D_{t+1} = D_t ∪ D_1∘D_t, each step against a
+	// frozen snapshot so chains never exceed t+1 links.
+	base := m.Clone()
+	for step := 1; step < k; step++ {
+		prev := m.Clone()
+		changed := false
+		for i := 0; i < m.n; i++ {
+			base.path[i].ForEach(func(via int) {
+				if m.path[i].Or(prev.path[via]) {
+					changed = true
+				}
+			})
+			base.str[i].ForEach(func(via int) {
+				if m.str[i].Or(prev.str[via]) {
+					changed = true
+				}
+			})
+		}
+		if !changed {
+			break
+		}
+	}
+	rebuildReverse(m)
 }

@@ -19,9 +19,11 @@ package hybrid
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/netlist"
@@ -50,6 +52,19 @@ type Analysis struct {
 	// PresetDeps counts dependencies preset for consecutive scan
 	// flip-flops instead of being computed (Section III-A subroutine 1).
 	PresetDeps int
+
+	// pathIn and pathOut are Base's path relation as sparse rows over
+	// the denoted nodes, built once: row n of pathIn lists the denoted
+	// nodes n path-depends on, row n of pathOut the denoted nodes that
+	// path-depend on n, both ascending. Rows of bridged nodes are empty.
+	// Propagation and the culprit search read these instead of scanning
+	// Base's dense rows, which hold a couple of edges in dozens of words.
+	pathIn, pathOut csr
+	// headReg[n] is the register whose first scan flip-flop combined
+	// index n is, or -1.
+	headReg []int32
+	// nDenoted counts the denoted combined indices.
+	nDenoted int
 
 	nCirc     int
 	total     int
@@ -187,10 +202,52 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	for _, k := range internal {
 		a.Denoted[k] = false
 	}
+	a.buildViews()
 	if err := opts.Err(); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// csr is a compressed sparse row adjacency: row n is adj[off[n]:off[n+1]].
+type csr struct {
+	off, adj []int32
+}
+
+func (c *csr) row(n int) []int32 { return c.adj[c.off[n]:c.off[n+1]] }
+
+// buildViews derives the sparse path rows and the per-node head
+// register from Base and Denoted.
+func (a *Analysis) buildViews() {
+	a.nDenoted = 0
+	for _, d := range a.Denoted {
+		if d {
+			a.nDenoted++
+		}
+	}
+	fill := func(row func(int) *bitset.Set) csr {
+		c := csr{off: make([]int32, a.total+1)}
+		for n := 0; n < a.total; n++ {
+			if a.Denoted[n] {
+				row(n).ForEach(func(u int) {
+					if a.Denoted[u] {
+						c.adj = append(c.adj, int32(u))
+					}
+				})
+			}
+			c.off[n+1] = int32(len(c.adj))
+		}
+		return c
+	}
+	a.pathIn = fill(a.Base.PathDependsOn)
+	a.pathOut = fill(a.Base.PathDependents)
+	a.headReg = make([]int32, a.total)
+	for n := range a.headReg {
+		a.headReg[n] = -1
+	}
+	for r, off := range a.regOffset {
+		a.headReg[off] = int32(r)
+	}
 }
 
 // WithSpec returns a shallow copy of the analysis evaluating a
@@ -334,19 +391,22 @@ func (a *Analysis) srcIdx(ref rsn.Ref) int {
 }
 
 // buildWiring derives the reverse wiring adjacency of the network's
-// current inter-register connections: node -> nodes to re-evaluate when
-// its out-attribute changes. The fixed Base edges are not included —
-// they are read from the matrix directly.
-func (a *Analysis) buildWiring(nw *rsn.Network) [][]int32 {
-	size := a.total + len(nw.Muxes)
-	wdep := make([][]int32, size)
+// current inter-register connections into wdep, reusing its row
+// buffers: node -> nodes to re-evaluate when its out-attribute
+// changes. The fixed Base edges are not included — they are read from
+// pathOut.
+func (a *Analysis) buildWiring(nw *rsn.Network, wdep [][]int32) [][]int32 {
+	wdep = grow(wdep, a.total+len(nw.Muxes))
+	for i := range wdep {
+		wdep[i] = wdep[i][:0]
+	}
 	addDep := func(src rsn.Ref, sink int) {
 		if s := a.srcIdx(src); s >= 0 {
 			wdep[s] = append(wdep[s], int32(sink))
 		}
 	}
 	for r := range nw.Registers {
-		addDep(nw.Registers[r].In, a.ScanIndex(r, 0))
+		addDep(nw.Registers[r].In, a.regOffset[r])
 	}
 	for m := range nw.Muxes {
 		for _, in := range nw.Muxes[m].Inputs {
@@ -356,15 +416,57 @@ func (a *Analysis) buildWiring(nw *rsn.Network) [][]int32 {
 	return wdep
 }
 
+// grow returns buf resliced to length n, reallocating when n exceeds
+// its capacity. A reallocation keeps every element up to the old
+// capacity, so values parked beyond the length survive.
+func grow[T any](buf []T, n int) []T {
+	if n > cap(buf) {
+		nb := make([]T, n, n+n/8+8)
+		copy(nb, buf[:cap(buf)])
+		return nb
+	}
+	return buf[:n]
+}
+
+// scratch is one worker's reusable state for propagation runs: the
+// working attributes, the worklist and its membership marks, the
+// wiring adjacency and the trial network candidates are built in. One
+// scratch serves one goroutine at a time.
+type scratch struct {
+	// p holds the attributes of the last propagateDelta run. Outside
+	// that run's dirty cone they equal base's, which is what lets the
+	// next run against the same base undo only the cone.
+	p    propagation
+	base *propagation
+	// cone is the last run's dirty cone in discovery order.
+	cone  []int32
+	queue []int32
+	// inQueue is all false between runs: the worklist drains it.
+	inQueue []bool
+	wdep    [][]int32
+	trial   rsn.Network
+	// slab records the dirty-cone attributes of every candidate scored
+	// in the current change, so the winner's fixed point is rebuilt
+	// without propagating it again.
+	slab []coneAttr
+}
+
+// coneAttr is one node's attributes inside a trial's dirty cone.
+type coneAttr struct {
+	node    int32
+	in, out secspec.CatSet
+}
+
 // runWorklist drives the monotone-decreasing attribute iteration to its
-// fixed point from the given seed queue, re-evaluating nodes whose
-// inputs changed. The queue is consumed through a head index and
-// compacted in place once the dead prefix dominates, so the worklist
-// never retains its backing array's consumed half (the former
-// queue=queue[1:] pattern leaked the whole array until completion).
-// It returns the number of node evaluations.
-func (a *Analysis) runWorklist(nw *rsn.Network, wdep [][]int32, p *propagation, queue []int32, inQueue []bool) int64 {
+// fixed point from the seed queue in s.queue, re-evaluating nodes whose
+// inputs changed, over s.wdep (nw's wiring adjacency) and Base's
+// sparse rows. Every queued node must be marked in s.inQueue; the marks
+// are all clear again on return. The queue is consumed through a head
+// index and compacted in place once the dead prefix dominates. It
+// returns the number of node evaluations.
+func (a *Analysis) runWorklist(nw *rsn.Network, s *scratch, p *propagation) int64 {
 	all := secspec.AllCats(a.Spec.NumCategories)
+	queue, inQueue := s.queue, s.inQueue
 	evals := int64(0)
 	head := 0
 	for head < len(queue) {
@@ -382,20 +484,18 @@ func (a *Analysis) runWorklist(nw *rsn.Network, wdep [][]int32, p *propagation, 
 		if n >= a.total {
 			// Transparent mux node: intersection of its inputs.
 			for _, ref := range nw.Muxes[n-a.total].Inputs {
-				if s := a.srcIdx(ref); s >= 0 {
-					in &= p.attrOut[s]
+				if src := a.srcIdx(ref); src >= 0 {
+					in &= p.attrOut[src]
 				}
 			}
 			out = in
 		} else {
-			a.Base.PathDependsOn(n).ForEach(func(u int) {
-				if a.Denoted[u] {
-					in &= p.attrOut[u]
-				}
-			})
-			if r, bit, ok := a.IsScanNode(n); ok && bit == 0 {
-				if s := a.srcIdx(nw.Registers[r].In); s >= 0 {
-					in &= p.attrOut[s]
+			for _, u := range a.pathIn.row(n) {
+				in &= p.attrOut[u]
+			}
+			if r := a.headReg[n]; r >= 0 {
+				if src := a.srcIdx(nw.Registers[r].In); src >= 0 {
+					in &= p.attrOut[src]
 				}
 			}
 			out = in & a.Spec.Accepts[a.nodeModule[n]]
@@ -406,19 +506,22 @@ func (a *Analysis) runWorklist(nw *rsn.Network, wdep [][]int32, p *propagation, 
 		}
 		p.attrOut[n] = out
 		// Re-evaluate everything fed by n.
-		push := func(d int32) {
-			if a.active(int(d)) && !inQueue[d] {
+		if n < a.total {
+			for _, d := range a.pathOut.row(n) {
+				if !inQueue[d] {
+					inQueue[d] = true
+					queue = append(queue, d)
+				}
+			}
+		}
+		for _, d := range s.wdep[n] {
+			if !inQueue[d] && a.active(int(d)) {
 				inQueue[d] = true
 				queue = append(queue, d)
 			}
 		}
-		if n < a.total {
-			a.Base.PathDependents(n).ForEach(func(d int) { push(int32(d)) })
-		}
-		for _, d := range wdep[n] {
-			push(d)
-		}
 	}
+	s.queue = queue[:0]
 	return evals
 }
 
@@ -450,22 +553,28 @@ func (a *Analysis) propagate(nw *rsn.Network) *propagation {
 		p.attrIn[i] = all
 		p.attrOut[i] = all
 	}
-	wdep := a.buildWiring(nw)
-	inQueue := make([]bool, size)
-	queue := make([]int32, 0, size)
+	s := &scratch{
+		inQueue: make([]bool, size),
+		queue:   make([]int32, 0, size),
+	}
+	s.wdep = a.buildWiring(nw, nil)
 	for n := 0; n < size; n++ {
 		if a.active(n) {
-			queue = append(queue, int32(n))
-			inQueue[n] = true
+			s.queue = append(s.queue, int32(n))
+			s.inQueue[n] = true
 		}
 	}
-	evals := a.runWorklist(nw, wdep, p, queue, inQueue)
+	evals := a.runWorklist(nw, s, p)
 	stage.AddQueries(evals)
 	return p
 }
 
 // propagateDelta computes the fixed point of nw's wiring by re-seeding
-// from the parent network's fixed point instead of from scratch.
+// from the parent network's fixed point instead of from scratch. The
+// result lives in s: s.p holds the attributes (valid until s's next
+// run, which is also what the returned pointer refers to) and s.cone
+// the dirty cone, the only nodes whose attributes may differ from
+// parent's.
 //
 // The invariant making this exact: a node is dirty when its evaluation
 // equation changed (its register input or mux input list differs
@@ -480,7 +589,7 @@ func (a *Analysis) propagate(nw *rsn.Network) *propagation {
 // then reconstructs exactly the full propagation's fixed point
 // (TestIncrementalPropagateMatchesFull checks this differentially on
 // every candidate change of catalog benchmarks).
-func (a *Analysis) propagateDelta(parent *propagation, parentNW, nw *rsn.Network) *propagation {
+func (a *Analysis) propagateDelta(s *scratch, parent *propagation, parentNW, nw *rsn.Network) *propagation {
 	stage := a.eng.Stage("propagate-delta")
 	defer stage.Start()()
 	// A high-frequency trace span (one per candidate trial); sample it
@@ -492,89 +601,79 @@ func (a *Analysis) propagateDelta(parent *propagation, parentNW, nw *rsn.Network
 	size := a.total + nMux
 	pMux := len(parentNW.Muxes)
 
+	// Bring s.p back to parent's attributes: undo the previous run's
+	// cone when it ran against the same parent, else copy it whole.
+	// Nodes past parent's end are new muxes, which always seed below.
+	if s.base == parent {
+		for _, n := range s.cone {
+			if int(n) < len(parent.attrIn) {
+				s.p.attrIn[n] = parent.attrIn[n]
+				s.p.attrOut[n] = parent.attrOut[n]
+			}
+		}
+	} else {
+		s.p.attrIn = append(s.p.attrIn[:0], parent.attrIn...)
+		s.p.attrOut = append(s.p.attrOut[:0], parent.attrOut...)
+		s.base = parent
+	}
+	s.p.attrIn = grow(s.p.attrIn, size)
+	s.p.attrOut = grow(s.p.attrOut, size)
+	s.inQueue = grow(s.inQueue, size)
+
 	// Seeds: nodes whose evaluation equation changed between the two
 	// wirings. Base edges are fixed infrastructure and never change;
 	// the scan-out source is not a propagation node.
-	var seeds []int32
+	cone := s.cone[:0]
+	seed := func(n int32) {
+		if a.active(int(n)) && !s.inQueue[n] {
+			s.inQueue[n] = true
+			cone = append(cone, n)
+		}
+	}
 	for r := range nw.Registers {
 		if nw.Registers[r].In != parentNW.Registers[r].In {
-			seeds = append(seeds, int32(a.ScanIndex(r, 0)))
+			seed(int32(a.regOffset[r]))
 		}
 	}
 	for m := 0; m < nMux; m++ {
 		if m >= pMux || !refsEqual(nw.Muxes[m].Inputs, parentNW.Muxes[m].Inputs) {
-			seeds = append(seeds, int32(a.total+m))
+			seed(int32(a.total + m))
 		}
-	}
-
-	p := &propagation{
-		attrIn:  make([]secspec.CatSet, size),
-		attrOut: make([]secspec.CatSet, size),
-	}
-	common := a.total + min(nMux, pMux)
-	copy(p.attrIn, parent.attrIn[:common])
-	copy(p.attrOut, parent.attrOut[:common])
-	for i := common; i < size; i++ {
-		p.attrIn[i] = all
-		p.attrOut[i] = all
 	}
 
 	// Dirty cone: forward closure of the seeds over nw's edges.
-	wdep := a.buildWiring(nw)
-	inQueue := make([]bool, size)
-	queue := make([]int32, 0, len(seeds)*4)
-	for _, s := range seeds {
-		if a.active(int(s)) && !inQueue[s] {
-			inQueue[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		n := int(queue[head])
-		push := func(d int32) {
-			if a.active(int(d)) && !inQueue[d] {
-				inQueue[d] = true
-				queue = append(queue, d)
+	s.wdep = a.buildWiring(nw, s.wdep)
+	for head := 0; head < len(cone); head++ {
+		n := int(cone[head])
+		if n < a.total {
+			for _, d := range a.pathOut.row(n) {
+				seed(d)
 			}
 		}
-		if n < a.total {
-			a.Base.PathDependents(n).ForEach(func(d int) { push(int32(d)) })
-		}
-		for _, d := range wdep[n] {
-			push(d)
+		for _, d := range s.wdep[n] {
+			seed(d)
 		}
 	}
 	// Reset the cone to top and re-run the worklist from it.
-	for _, n := range queue {
+	for _, n := range cone {
+		s.p.attrIn[n] = all
 		if int(n) >= a.total {
-			p.attrIn[n] = all
-			p.attrOut[n] = all
+			s.p.attrOut[n] = all
 		} else {
-			p.attrIn[n] = all
-			p.attrOut[n] = all & a.Spec.Accepts[a.nodeModule[n]]
+			s.p.attrOut[n] = all & a.Spec.Accepts[a.nodeModule[n]]
 		}
 	}
-	dirty := len(queue)
-	evals := a.runWorklist(nw, wdep, p, queue, inQueue)
+	s.cone = cone
+	s.queue = append(s.queue[:0], cone...)
+	dirty := len(cone)
+	evals := a.runWorklist(nw, s, &s.p)
 	stage.AddQueries(evals)
 	stage.AddItems(int64(dirty))
-	saved := a.activeCount(nw) - dirty
+	saved := a.nDenoted + nMux - dirty
 	stage.AddSaved(int64(saved))
 	span.SetAttrs(obs.Int("dirty", int64(dirty)), obs.Int("saved", int64(saved)),
 		obs.Int("evals", evals))
-	return p
-}
-
-// activeCount returns the number of attribute-carrying nodes of the
-// combined graph under the given wiring.
-func (a *Analysis) activeCount(nw *rsn.Network) int {
-	n := len(nw.Muxes)
-	for i := 0; i < a.total; i++ {
-		if a.Denoted[i] {
-			n++
-		}
-	}
-	return n
+	return &s.p
 }
 
 // refsEqual reports whether two wiring source lists are identical.
@@ -635,10 +734,11 @@ func (a *Analysis) fixedPoint(nw *rsn.Network) *propagation {
 	case parent == nil || len(parentNW.Registers) != len(nw.Registers):
 		p = a.propagate(nw)
 	case propWiringEqual(parentNW, nw):
-		a.eng.Stage("propagate-delta").AddSaved(int64(a.activeCount(nw)))
+		a.eng.Stage("propagate-delta").AddSaved(int64(a.nDenoted + len(nw.Muxes)))
 		return parent
 	default:
-		p = a.propagateDelta(parent, parentNW, nw)
+		d := a.propagateDelta(&scratch{}, parent, parentNW, nw)
+		p = &propagation{attrIn: slices.Clone(d.attrIn), attrOut: slices.Clone(d.attrOut)}
 	}
 	snap := nw.Clone()
 	c.mu.Lock()

@@ -1,9 +1,11 @@
 package hybrid
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bitset"
 	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/netlist"
@@ -38,6 +40,58 @@ func catalogCase(tb testing.TB, name string, scale float64, seed int64) (*Analys
 	return nil, nil
 }
 
+// flexScanCase mirrors one run of the experimental protocol on the
+// serial-bypass benchmark scaled to the given scan flip-flop budget: a
+// role-aware generated specification without insecure logic, and the
+// pure stage applied first, so the returned network is the post-pure
+// one hybrid resolution sees. FlexScan's bypass chain makes nearly the
+// whole combined graph dirty on every cut.
+func flexScanCase(tb testing.TB, ffs int) (*Analysis, *rsn.Network) {
+	tb.Helper()
+	bm, ok := bench.ByName("FlexScan")
+	if !ok {
+		tb.Fatal("FlexScan missing from the catalog")
+	}
+	nw := bm.Build(bm.ScaleForTarget(ffs))
+	att := bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), 7)
+	an, err := NewAnalysisOpts(nw, att.Circuit, att.Internal, nil, dep.Exact, engine.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for specSeed := int64(0); specSeed < 64; specSeed++ {
+		spec := secspec.GenerateWithRoles(len(nw.Modules), att.DataSources, secspec.DefaultGenConfig(), specSeed)
+		cand := an.WithSpec(spec)
+		if len(cand.InsecureModulePairs()) > 0 {
+			continue
+		}
+		r := nw.Clone()
+		if len(cand.Violations(r)) == 0 {
+			continue
+		}
+		if _, err := pure.Resolve(r, spec); err != nil {
+			continue
+		}
+		if len(cand.Violations(r)) == 0 {
+			continue
+		}
+		return cand.WithSpec(spec), r
+	}
+	tb.Fatal("no spec seed with post-pure hybrid violations found")
+	return nil, nil
+}
+
+// differentialCases are the resolve workloads of the differential
+// tests: scaled catalog benchmarks, plus FlexScan at 350 flip-flops.
+var differentialCases = []struct {
+	name  string
+	build func(testing.TB) (*Analysis, *rsn.Network)
+}{
+	{"BasicSCB", func(tb testing.TB) (*Analysis, *rsn.Network) { return catalogCase(tb, "BasicSCB", 0.15, 7) }},
+	{"TreeFlat", func(tb testing.TB) (*Analysis, *rsn.Network) { return catalogCase(tb, "TreeFlat", 0.15, 7) }},
+	{"MBIST_1_5_5", func(tb testing.TB) (*Analysis, *rsn.Network) { return catalogCase(tb, "MBIST_1_5_5", 0.15, 7) }},
+	{"FlexScan350", func(tb testing.TB) (*Analysis, *rsn.Network) { return flexScanCase(tb, 350) }},
+}
+
 // propEqual compares two propagations attribute for attribute.
 func propEqual(tb testing.TB, ctx string, full, delta *propagation) {
 	tb.Helper()
@@ -61,14 +115,26 @@ func propEqual(tb testing.TB, ctx string, full, delta *propagation) {
 // uncapped, plus the scan-in fallback — comparing the incremental
 // propagation (re-seeded from the parent wiring's fixed point) against
 // a from-scratch propagation, attribute for attribute. It also checks
-// deltas from a stale ancestor fixed point (the multi-change diff the
-// shared cache produces under parallel candidate evaluation).
+// deltas from a stale ancestor fixed point (the multi-change diff a
+// restored snapshot produces). Every delta of a case runs through the
+// same two reused worker scratches, and the resolve step through a
+// third. After each compared run the scratch's dirty cone — the only
+// nodes a run may leave differing from the parent — is overwritten
+// with zero attributes, so a later run that fails to undo what an
+// earlier one left behind surfaces as an attribute mismatch.
 func TestIncrementalPropagateMatchesFull(t *testing.T) {
-	for _, name := range []string{"BasicSCB", "TreeFlat", "MBIST_1_5_5"} {
-		t.Run(name, func(t *testing.T) {
-			a, nw := catalogCase(t, name, 0.15, 7)
+	for _, tc := range differentialCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, nw := tc.build(t)
 			p0 := a.propagate(nw)
 			nw0 := nw.Clone()
+			var sParent, sAncestor scratch
+			poison := func(s *scratch) {
+				for _, n := range s.cone {
+					s.p.attrIn[n], s.p.attrOut[n] = 0, 0
+				}
+			}
+			pool := make([]scratch, 1)
 			candidates := 0
 			for step := 0; step < 12; step++ {
 				parent := a.propagate(nw)
@@ -81,6 +147,11 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 				if err != nil {
 					break // insecure-logic flow: nothing to transform
 				}
+				type trialCase struct {
+					nw   *rsn.Network
+					full *propagation
+				}
+				var trials []trialCase
 				for _, h := range hops {
 					pin := rsn.Sink{Elem: rsn.Reg(h.To), Idx: 0}
 					var srcs []rsn.Ref
@@ -96,12 +167,31 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 							continue
 						}
 						full := a.propagate(trial)
-						propEqual(t, "parent delta", full, a.propagateDelta(parent, nw, trial))
-						propEqual(t, "ancestor delta", full, a.propagateDelta(p0, nw0, trial))
+						propEqual(t, "parent delta", full, a.propagateDelta(&sParent, parent, nw, trial))
+						poison(&sParent)
+						propEqual(t, "ancestor delta", full, a.propagateDelta(&sAncestor, p0, nw0, trial))
+						poison(&sAncestor)
+						trials = append(trials, trialCase{trial, full})
 						candidates++
 					}
 				}
-				if _, next, err := a.resolveOne(nw, parent, u, v, hops, len(viols)); err != nil {
+				// Candidates of one step share most of their cone. The
+				// decoy re-feeds every register from scan-in, so its cone
+				// spans every node downstream of any register; run (and
+				// poisoned) before each candidate, it leaves values the
+				// candidate's run must undo outside its own cone.
+				decoy := nw.Clone()
+				for r := range decoy.Registers {
+					decoy.Registers[r].In = rsn.ScanIn
+				}
+				propEqual(t, "decoy delta", a.propagate(decoy), a.propagateDelta(&sParent, parent, nw, decoy))
+				for _, tr := range trials {
+					a.propagateDelta(&sParent, parent, nw, decoy)
+					poison(&sParent)
+					propEqual(t, "delta after the decoy", tr.full, a.propagateDelta(&sParent, parent, nw, tr.nw))
+					poison(&sParent)
+				}
+				if _, next, err := a.resolveOne(pool, nw, parent, u, v, hops, len(viols)); err != nil {
 					break
 				} else {
 					propEqual(t, "applied change", a.propagate(nw), next)
@@ -110,7 +200,7 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 			if candidates == 0 {
 				t.Fatal("no candidate changes were compared")
 			}
-			t.Logf("%s: %d candidate changes compared", name, candidates)
+			t.Logf("%s: %d candidate changes compared", tc.name, candidates)
 		})
 	}
 }
@@ -162,9 +252,9 @@ func TestFixedPointCache(t *testing.T) {
 // results land in candidate-order slots, the trial fixed points are
 // exact at any schedule, and the tie-break scans slots in order.
 func TestResolveDeterministicAcrossWorkers(t *testing.T) {
-	for _, name := range []string{"BasicSCB", "TreeFlat"} {
-		t.Run(name, func(t *testing.T) {
-			a, nw := catalogCase(t, name, 0.15, 7)
+	for _, tc := range differentialCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, nw := tc.build(t)
 			var ref []Change
 			for i, workers := range []int{1, 3, 8} {
 				an, err := NewAnalysisOpts(nw, a.Circuit, internalOf(a), a.Spec, a.Mode,
@@ -230,9 +320,11 @@ func BenchmarkPropagateDelta(b *testing.B) {
 	if _, err := trial.CutAndReconnect(rsn.Sink{Elem: rsn.Reg(hops[0].To), Idx: 0}, rsn.ScanIn); err != nil {
 		b.Fatal(err)
 	}
+	var s scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.propagateDelta(parent, nw, trial)
+		a.propagateDelta(&s, parent, nw, trial)
 	}
 }
 
@@ -254,53 +346,61 @@ func BenchmarkResolveHybrid(b *testing.B) {
 }
 
 // BenchmarkResolveHybridFlexScan measures the resolve loop on the
-// serial-bypass benchmark scaled to the recorded 350 flip-flop budget
-// — the workload that dominates the original experimental protocol's
-// hybrid stage. It mirrors one protocol run: a role-aware generated
-// specification and the pure stage applied first, so Resolve sees the
-// post-pure network.
+// serial-bypass benchmark at the protocol's 700 flip-flop budget — the
+// workload that dominates the experimental protocol's hybrid stage. It
+// mirrors one protocol run: a role-aware generated specification and
+// the pure stage applied first, so Resolve sees the post-pure network.
 func BenchmarkResolveHybridFlexScan(b *testing.B) {
-	bm, ok := bench.ByName("FlexScan")
-	if !ok {
-		b.Fatal("FlexScan missing from the catalog")
-	}
-	nw := bm.Build(bm.ScaleForTarget(350))
-	att := bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), 7)
-	an, err := NewAnalysisOpts(nw, att.Circuit, att.Internal, nil, dep.Exact, engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var a2 *Analysis
-	var run *rsn.Network
-	for specSeed := int64(0); specSeed < 64 && run == nil; specSeed++ {
-		spec := secspec.GenerateWithRoles(len(nw.Modules), att.DataSources, secspec.DefaultGenConfig(), specSeed)
-		cand := an.WithSpec(spec)
-		if len(cand.InsecureModulePairs()) > 0 {
-			continue
-		}
-		r := nw.Clone()
-		if len(cand.Violations(r)) == 0 {
-			continue
-		}
-		if _, err := pure.Resolve(r, spec); err != nil {
-			continue
-		}
-		if len(cand.Violations(r)) == 0 {
-			continue
-		}
-		a2, run = cand, r
-	}
-	if run == nil {
-		b.Fatal("no spec seed with post-pure hybrid violations found")
-	}
+	a, run := flexScanCase(b, 700)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		an2 := a2.WithSpec(a2.Spec) // fresh cache: measure from cold
+		an := a.WithSpec(a.Spec) // fresh cache: measure from cold
 		r := run.Clone()
 		b.StartTimer()
-		if _, err := Resolve(an2, r); err != nil {
+		if _, err := Resolve(an, r); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSparseViewsMatchBase checks the sparse path rows against Base:
+// row n of pathIn (pathOut) lists exactly the denoted members of Base's
+// dense path-depends-on (path-dependents) row, ascending, for denoted
+// n and nothing for bridged n; headReg agrees with IsScanNode.
+func TestSparseViewsMatchBase(t *testing.T) {
+	for _, tc := range differentialCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, _ := tc.build(t)
+			dense := func(row *bitset.Set) []int32 {
+				var out []int32
+				row.ForEach(func(u int) {
+					if a.Denoted[u] {
+						out = append(out, int32(u))
+					}
+				})
+				return out
+			}
+			for n := 0; n < a.Total(); n++ {
+				var wantIn, wantOut []int32
+				if a.Denoted[n] {
+					wantIn, wantOut = dense(a.Base.PathDependsOn(n)), dense(a.Base.PathDependents(n))
+				}
+				if got := a.pathIn.row(n); !slices.Equal(got, wantIn) {
+					t.Fatalf("pathIn row %d = %v, want %v", n, got, wantIn)
+				}
+				if got := a.pathOut.row(n); !slices.Equal(got, wantOut) {
+					t.Fatalf("pathOut row %d = %v, want %v", n, got, wantOut)
+				}
+				want := int32(-1)
+				if r, bit, ok := a.IsScanNode(n); ok && bit == 0 {
+					want = int32(r)
+				}
+				if a.headReg[n] != want {
+					t.Fatalf("headReg[%d] = %d, want %d", n, a.headReg[n], want)
+				}
+			}
+		})
 	}
 }

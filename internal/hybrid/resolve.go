@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rsn"
+	"repro/internal/secspec"
 )
 
 // Change records one applied structural modification bundle.
@@ -93,19 +94,19 @@ func (a *Analysis) flowChain(nw *rsn.Network, v int) (int, []int, []hop, error) 
 			}
 			queue = append(queue, int32(x))
 		}
-		a.Base.PathDependsOn(y).ForEach(func(x int) {
-			if culprit < 0 {
-				expand(x, false)
+		for _, x := range a.pathIn.row(y) {
+			if expand(int(x), false); culprit >= 0 {
+				break
 			}
-		})
+		}
 		if culprit >= 0 {
 			break
 		}
-		if r, bit, ok := a.IsScanNode(y); ok && bit == 0 {
+		if r := a.headReg[y]; r >= 0 {
 			// Each node is dequeued at most once, so resolving the
 			// register's wiring sources here (instead of precomputing
 			// them for every register) does no repeated work.
-			for _, src := range nw.EffectiveSources(r) {
+			for _, src := range nw.EffectiveSources(int(r)) {
 				if src.Kind != rsn.KRegister {
 					continue
 				}
@@ -153,12 +154,13 @@ func maxChanges(nw *rsn.Network) int { return 8*len(nw.Registers) + 64 }
 // winning candidate's fixed point becomes the next iteration's current
 // one — CutAndReconnect is deterministic, so re-applying the winning
 // change to nw reproduces the trial wiring exactly. Candidate trials
-// fan out over the engine's worker pool; the unique greatest fixed
-// point and the strict minimum-cost tie-break in candidate order keep
-// the applied changes byte-identical to the sequential evaluation at
-// any worker count. The analysis's engine context is honored between
-// iterations, and the stage's wall time and change count are reported
-// through its engine stats.
+// fan out over the engine's worker pool, each worker owning one
+// scratch (trial network, attribute and worklist buffers) for the whole
+// run; the unique greatest fixed point and the strict minimum-cost
+// tie-break in candidate order keep the applied changes byte-identical
+// to the sequential evaluation at any worker count. The analysis's
+// engine context is honored between iterations, and the stage's wall
+// time and change count are reported through its engine stats.
 func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 	stage := a.eng.Stage("resolve")
 	defer stage.Start()()
@@ -171,6 +173,7 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 			obs.Int("changes", int64(len(res.Changes))))
 	}()
 	ctx := a.eng.Ctx()
+	pool := make([]scratch, max(1, a.eng.WorkerCount()))
 	cur := a.fixedPoint(nw)
 	res.ViolationsBefore = len(a.violationsFrom(cur))
 	for {
@@ -189,7 +192,7 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 		if err != nil {
 			return res, err
 		}
-		ch, next, err := a.resolveOne(nw, cur, u, v, hops, len(viols))
+		ch, next, err := a.resolveOne(pool, nw, cur, u, v, hops, len(viols))
 		if err != nil {
 			return res, err
 		}
@@ -199,11 +202,12 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 }
 
 // resolveOne cuts one wiring hop of the violating flow and re-connects
-// the separated segments, evaluating candidates on clones and applying
-// the lowest-cost acceptable one. cur is the fixed point of nw's
-// current wiring; the returned propagation is the fixed point of the
-// applied change's wiring.
-func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops []hop, before int) (Change, *propagation, error) {
+// the separated segments, scoring every candidate in a worker's reused
+// trial network and applying the lowest-cost acceptable one. cur is the
+// fixed point of nw's current wiring and before its violation count;
+// the returned propagation is the fixed point of the applied change's
+// wiring. pool holds one scratch per worker.
+func (a *Analysis) resolveOne(pool []scratch, nw *rsn.Network, cur *propagation, u, v int, hops []hop, before int) (Change, *propagation, error) {
 	type candidate struct {
 		pin    rsn.Sink
 		newSrc rsn.Ref
@@ -230,66 +234,87 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 		cands = append(cands, candidate{pin, rsn.ScanIn})
 	}
 
-	// Evaluate every candidate on its own clone, in parallel over the
-	// worker pool. Each result lands in its candidate's slot; the trial
-	// fixed points are exact (delta propagation from cur reproduces the
-	// unique greatest fixed point), so scheduling cannot change any
-	// score. Structural validation is deferred to winner selection —
-	// candidates rarely fail it, so scoring first and validating only
-	// prospective winners trades a per-candidate graph traversal for a
-	// per-change one without affecting which valid candidate wins.
+	// Score every candidate in parallel over the worker pool. Each
+	// result lands in its candidate's slot; the trial fixed points are
+	// exact (delta propagation from cur reproduces the unique greatest
+	// fixed point), so scheduling cannot change any score. A trial's
+	// attributes differ from cur's only inside its dirty cone, so the
+	// violation count is cur's adjusted over the cone, and the cone's
+	// attributes are recorded in the worker's slab to rebuild the
+	// winner's fixed point. Structural validation is deferred to winner
+	// selection — candidates rarely fail it, so scoring first and
+	// validating only prospective winners trades a per-candidate graph
+	// traversal for a per-change one without affecting which valid
+	// candidate wins.
 	type scored struct {
 		ok      bool
 		muxes   int
 		removed bool
 		after   int
-		trial   *rsn.Network
-		p       *propagation
+		cone    []coneAttr
 	}
 	results := make([]scored, len(cands))
 	stage := a.eng.Stage("resolve")
 	stage.AddItems(int64(len(cands)))
-	evalCand := func(i int) {
+	violating := func(p *propagation, n int32) bool {
+		return !p.attrIn[n].Has(a.Spec.Trust[a.nodeModule[n]])
+	}
+	evalCand := func(s *scratch, i int) {
 		c := cands[i]
-		trial := nw.Clone()
-		muxes, err := trial.CutAndReconnect(c.pin, c.newSrc)
+		nw.CopyInto(&s.trial)
+		muxes, err := s.trial.CutAndReconnect(c.pin, c.newSrc)
 		if err != nil {
 			return
 		}
-		tp := a.propagateDelta(cur, nw, trial)
-		after := a.violationsFrom(tp)
-		if len(after) > before {
+		tp := a.propagateDelta(s, cur, nw, &s.trial)
+		after := before
+		for _, n := range s.cone {
+			if int(n) < a.total {
+				if violating(cur, n) {
+					after--
+				}
+				if violating(tp, n) {
+					after++
+				}
+			}
+		}
+		if after > before {
 			return
+		}
+		off := len(s.slab)
+		for _, n := range s.cone {
+			s.slab = append(s.slab, coneAttr{node: n, in: tp.attrIn[n], out: tp.attrOut[n]})
 		}
 		results[i] = scored{
 			ok: true, muxes: muxes,
-			removed: !violatesNode(after, v), after: len(after),
-			trial: trial, p: tp,
+			removed: !violating(tp, int32(v)), after: after,
+			cone: s.slab[off:],
 		}
 	}
-	if workers := a.eng.WorkerCount(); workers > 1 && len(cands) > 1 {
-		if workers > len(cands) {
-			workers = len(cands)
-		}
+	workers := min(len(pool), len(cands))
+	for w := range pool[:workers] {
+		pool[w].slab = pool[w].slab[:0]
+	}
+	if workers > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(s *scratch) {
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(cands) {
 						return
 					}
-					evalCand(i)
+					evalCand(s, i)
 				}
-			}()
+			}(&pool[w])
 		}
 		wg.Wait()
 	} else {
 		for i := range cands {
-			evalCand(i)
+			evalCand(&pool[0], i)
 		}
 	}
 
@@ -312,6 +337,12 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 		}
 		return s.muxes < t.muxes
 	}
+	valid := func(c candidate) bool {
+		trial := &pool[0].trial
+		nw.CopyInto(trial)
+		_, err := trial.CutAndReconnect(c.pin, c.newSrc)
+		return err == nil && trial.Validate() == nil
+	}
 	best := -1
 	for {
 		best = -1
@@ -327,7 +358,7 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 				best = i
 			}
 		}
-		if best < 0 || results[best].trial.Validate() == nil {
+		if best < 0 || valid(cands[best]) {
 			break
 		}
 		results[best].ok = false
@@ -340,6 +371,19 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 	if err != nil {
 		return Change{}, nil, err
 	}
+	// The winner's fixed point: cur outside its dirty cone, the
+	// recorded attributes inside (new muxes always lie in the cone).
+	size := a.total + len(nw.Muxes)
+	next := &propagation{
+		attrIn:  make([]secspec.CatSet, size),
+		attrOut: make([]secspec.CatSet, size),
+	}
+	copy(next.attrIn, cur.attrIn)
+	copy(next.attrOut, cur.attrOut)
+	for _, c := range results[best].cone {
+		next.attrIn[c.node] = c.in
+		next.attrOut[c.node] = c.out
+	}
 	return Change{
 		Cut:      cands[best].pin,
 		OldSrc:   oldSrc,
@@ -347,14 +391,5 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 		NewMuxes: muxes,
 		Culprit:  u,
 		Target:   v,
-	}, results[best].p, nil
-}
-
-func violatesNode(vs []Violation, n int) bool {
-	for _, v := range vs {
-		if v.Node == n {
-			return true
-		}
-	}
-	return false
+	}, next, nil
 }

@@ -47,13 +47,25 @@ func (p *Propagation) Out(r rsn.Ref) secspec.CatSet { return p.out[p.nw.RefIndex
 // Propagate computes security attributes over all pure scan paths with
 // a single forward traversal in topological order.
 func Propagate(nw *rsn.Network, spec *secspec.Spec) *Propagation {
+	p := &Propagation{}
+	p.compute(nw, spec)
+	return p
+}
+
+// compute fills p with nw's attributes, reusing p's buffers: the
+// resolve loop scores every candidate trial through one Propagation.
+func (p *Propagation) compute(nw *rsn.Network, spec *secspec.Spec) {
 	all := secspec.AllCats(spec.NumCategories)
 	n := nw.NumRefs()
-	p := &Propagation{
-		nw:  nw,
-		in:  make([]secspec.CatSet, n),
-		out: make([]secspec.CatSet, n),
+	p.nw = nw
+	if cap(p.in) < n {
+		p.in = make([]secspec.CatSet, n)
+		p.out = make([]secspec.CatSet, n)
 	}
+	// The topological order visits every element, so every slot below
+	// n is overwritten.
+	p.in, p.out = p.in[:n], p.out[:n]
+	p.Violating = p.Violating[:0]
 	// Source attributes are read through out[RefIndex(src)]; an invalid
 	// source (an unconnected pin) contributes no constraint, matching a
 	// missing input. The topological order guarantees sources are final
@@ -92,7 +104,6 @@ func Propagate(nw *rsn.Network, spec *secspec.Spec) *Propagation {
 		}
 	}
 	sort.Ints(p.Violating)
-	return p
 }
 
 // ViolatingRegisters returns the registers with a pure-path violation,
@@ -154,9 +165,10 @@ func maxRounds(nw *rsn.Network) int { return 4*len(nw.Registers) + 16 }
 // network is pure-path secure. It mutates nw and returns the applied
 // changes. The current wiring's attributes are propagated once per
 // round and reused for candidate filtering and the before count —
-// only candidate trials re-propagate.
+// only candidate trials re-propagate, all in one reused trial.
 func Resolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
 	res := &Result{}
+	var t trial
 	first := true
 	for round := 0; ; round++ {
 		p := Propagate(nw, spec)
@@ -172,7 +184,7 @@ func Resolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
 		if !ok {
 			return res, fmt.Errorf("pure: register R%d violates but no culprit found", y)
 		}
-		ch, err := resolveOne(nw, spec, p, x, y, round >= maxRounds(nw))
+		ch, err := resolveOne(&t, nw, spec, p, x, y, round >= maxRounds(nw))
 		if err != nil {
 			return res, err
 		}
@@ -180,12 +192,20 @@ func Resolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
 	}
 }
 
+// trial is the reused candidate state of a resolve run: the network
+// every candidate change is tried in (refilled from the current wiring
+// by CopyInto) and its propagation.
+type trial struct {
+	nw rsn.Network
+	p  Propagation
+}
+
 // resolveOne repairs the flow from register x into register y by
 // cutting a connection on the way and re-connecting the separated
 // segments. p is the current wiring's propagation. With fallbackOnly
 // set, only the always-valid candidate (connect y to the scan-in port)
 // is considered.
-func resolveOne(nw *rsn.Network, spec *secspec.Spec, p *Propagation, x, y int, fallbackOnly bool) (Change, error) {
+func resolveOne(t *trial, nw *rsn.Network, spec *secspec.Spec, p *Propagation, x, y int, fallbackOnly bool) (Change, error) {
 	type candidate struct {
 		pin    rsn.Sink
 		newSrc rsn.Ref
@@ -198,7 +218,7 @@ func resolveOne(nw *rsn.Network, spec *secspec.Spec, p *Propagation, x, y int, f
 		// Re-connecting y to a pure-path predecessor keeps y deep in the
 		// network; acceptable when the predecessor's data is compatible.
 		// The candidate count is capped: evaluating every predecessor of
-		// a deep chain position costs a clone and a re-propagation each.
+		// a deep chain position costs a re-propagation each.
 		const maxPredCandidates = 6
 		preds := nw.PurePredecessors(y)
 		ymod := nw.Registers[y].Module
@@ -223,45 +243,51 @@ func resolveOne(nw *rsn.Network, spec *secspec.Spec, p *Propagation, x, y int, f
 		c     candidate
 		cost  int
 		after int
-		trial *rsn.Network
+		ok    bool
 	}
 	var results []scored
 	for _, c := range cands {
-		trial := nw.Clone()
-		muxes, err := trial.CutAndReconnect(c.pin, c.newSrc)
+		nw.CopyInto(&t.nw)
+		muxes, err := t.nw.CutAndReconnect(c.pin, c.newSrc)
 		if err != nil {
 			continue
 		}
-		tp := Propagate(trial, spec)
+		t.p.compute(&t.nw, spec)
 		// The targeted violation must be gone and the overall number of
 		// violating registers must not grow.
-		if containsInt(tp.Violating, y) && stillFlows(trial, x, y) {
+		if containsInt(t.p.Violating, y) && stillFlows(&t.nw, x, y) {
 			continue
 		}
-		if len(tp.Violating) > before {
+		if len(t.p.Violating) > before {
 			continue
 		}
-		results = append(results, scored{c, 1 + muxes, len(tp.Violating), trial})
+		results = append(results, scored{c, 1 + muxes, len(t.p.Violating), true})
 	}
 	// Structural validation is deferred to winner selection: candidates
 	// rarely fail it, and discarding an invalid minimum one at a time
-	// selects exactly the minimum-cost valid candidate.
+	// selects exactly the minimum-cost valid candidate. Only prospective
+	// winners are re-built in the trial network to be validated.
+	valid := func(c candidate) bool {
+		nw.CopyInto(&t.nw)
+		_, err := t.nw.CutAndReconnect(c.pin, c.newSrc)
+		return err == nil && t.nw.Validate() == nil
+	}
 	var best *scored
 	for {
 		best = nil
 		for i := range results {
 			s := &results[i]
-			if s.trial == nil {
+			if !s.ok {
 				continue
 			}
 			if best == nil || s.cost < best.cost || (s.cost == best.cost && s.after < best.after) {
 				best = s
 			}
 		}
-		if best == nil || best.trial.Validate() == nil {
+		if best == nil || valid(best.c) {
 			break
 		}
-		best.trial = nil
+		best.ok = false
 	}
 	if best == nil {
 		// The fallback candidate cannot fail validation; reaching this

@@ -1,9 +1,13 @@
 package pure
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -265,6 +269,10 @@ func TestResolveRandomNetworks(t *testing.T) {
 		}
 		spec := secspec.Generate(len(nw.Modules), secspec.DefaultGenConfig(), rng.Int63())
 		before := len(ViolatingRegisters(nw, spec))
+		ref, err := referenceResolve(nw.Clone(), spec)
+		if err != nil {
+			t.Fatalf("iter %d: reference: %v", iter, err)
+		}
 		res, err := Resolve(nw, spec)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
@@ -284,6 +292,9 @@ func TestResolveRandomNetworks(t *testing.T) {
 				t.Fatalf("iter %d: violations existed but no changes", iter)
 			}
 		}
+		if !slices.Equal(res.Changes, ref.Changes) {
+			t.Fatalf("iter %d: changes %v, reference %v", iter, res.Changes, ref.Changes)
+		}
 	}
 	if !resolvedSomething {
 		t.Fatal("test never exercised resolution; adjust generator")
@@ -297,5 +308,199 @@ func TestChangeCostAndString(t *testing.T) {
 	}
 	if c.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// TestPropagationReuse checks that one Propagation recomputed over many
+// networks, as the resolve loop's trial does, always matches a fresh
+// Propagate: nothing of an earlier network survives.
+func TestPropagationReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var reused Propagation
+	for iter := 0; iter < 60; iter++ {
+		nw := randomNetwork(rng, 2+rng.Intn(12))
+		spec := secspec.Generate(len(nw.Modules), secspec.DefaultGenConfig(), rng.Int63())
+		reused.compute(nw, spec)
+		fresh := Propagate(nw, spec)
+		if !slices.Equal(reused.Violating, fresh.Violating) {
+			t.Fatalf("iter %d: Violating %v, fresh %v", iter, reused.Violating, fresh.Violating)
+		}
+		if !slices.Equal(reused.in, fresh.in) || !slices.Equal(reused.out, fresh.out) {
+			t.Fatalf("iter %d: attributes differ from a fresh propagation", iter)
+		}
+	}
+}
+
+// TestResolveMatchesReferenceFlexScan compares Resolve against the
+// clone-per-candidate reference on the serial-bypass benchmark at 350
+// scan flip-flops, where every candidate cut re-attaches a segment.
+func TestResolveMatchesReferenceFlexScan(t *testing.T) {
+	bm, ok := bench.ByName("FlexScan")
+	if !ok {
+		t.Fatal("FlexScan missing from the catalog")
+	}
+	base := bm.Build(bm.ScaleForTarget(350))
+	att := bench.AttachCircuit(base, bench.DefaultCircuitConfig(), 7)
+	compared := 0
+	for specSeed := int64(0); specSeed < 8; specSeed++ {
+		spec := secspec.GenerateWithRoles(len(base.Modules), att.DataSources, secspec.DefaultGenConfig(), specSeed)
+		nw, refNW := base.Clone(), base.Clone()
+		res, err := Resolve(nw, spec)
+		if err != nil {
+			t.Fatalf("spec %d: %v", specSeed, err)
+		}
+		ref, err := referenceResolve(refNW, spec)
+		if err != nil {
+			t.Fatalf("spec %d: reference: %v", specSeed, err)
+		}
+		if !slices.Equal(res.Changes, ref.Changes) {
+			t.Fatalf("spec %d: changes %v, reference %v", specSeed, res.Changes, ref.Changes)
+		}
+		if !reflect.DeepEqual(nw, refNW) {
+			t.Fatalf("spec %d: resolved networks differ", specSeed)
+		}
+		compared += len(res.Changes)
+	}
+	if compared == 0 {
+		t.Fatal("no spec seed produced pure-path changes")
+	}
+	t.Logf("%d changes compared", compared)
+}
+
+// referenceResolve is Resolve over referenceResolveOne.
+func referenceResolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
+	res := &Result{}
+	for round := 0; ; round++ {
+		p := Propagate(nw, spec)
+		if round == 0 {
+			res.ViolatingBefore = len(p.Violating)
+		}
+		if len(p.Violating) == 0 {
+			return res, nil
+		}
+		y := p.Violating[0]
+		x, ok := FindCulprit(nw, spec, y)
+		if !ok {
+			return res, fmt.Errorf("pure: register R%d violates but no culprit found", y)
+		}
+		ch, err := referenceResolveOne(nw, spec, p, x, y, round >= maxRounds(nw))
+		if err != nil {
+			return res, err
+		}
+		res.Changes = append(res.Changes, ch)
+	}
+}
+
+// referenceResolveOne is the straightforward candidate evaluation the
+// reused trial network must reproduce: every candidate change is tried
+// on its own clone and propagated from scratch.
+func referenceResolveOne(nw *rsn.Network, spec *secspec.Spec, p *Propagation, x, y int, fallbackOnly bool) (Change, error) {
+	type candidate struct {
+		pin    rsn.Sink
+		newSrc rsn.Ref
+	}
+	pin := rsn.Sink{Elem: rsn.Reg(y), Idx: 0}
+	oldSrc := nw.Registers[y].In
+
+	var cands []candidate
+	if !fallbackOnly {
+		const maxPredCandidates = 6
+		ymod := nw.Registers[y].Module
+		for _, pr := range nw.PurePredecessors(y) {
+			src := rsn.Reg(pr)
+			if src == oldSrc {
+				continue
+			}
+			if p.Out(src).Has(spec.Trust[ymod]) {
+				cands = append(cands, candidate{pin, src})
+				if len(cands) >= maxPredCandidates {
+					break
+				}
+			}
+		}
+	}
+	cands = append(cands, candidate{pin, rsn.ScanIn})
+
+	before := len(p.Violating)
+	type scored struct {
+		c     candidate
+		cost  int
+		after int
+		trial *rsn.Network
+	}
+	var results []scored
+	for _, c := range cands {
+		trial := nw.Clone()
+		muxes, err := trial.CutAndReconnect(c.pin, c.newSrc)
+		if err != nil {
+			continue
+		}
+		tp := Propagate(trial, spec)
+		if containsInt(tp.Violating, y) && stillFlows(trial, x, y) {
+			continue
+		}
+		if len(tp.Violating) > before {
+			continue
+		}
+		results = append(results, scored{c, 1 + muxes, len(tp.Violating), trial})
+	}
+	var best *scored
+	for {
+		best = nil
+		for i := range results {
+			s := &results[i]
+			if s.trial == nil {
+				continue
+			}
+			if best == nil || s.cost < best.cost || (s.cost == best.cost && s.after < best.after) {
+				best = s
+			}
+		}
+		if best == nil || best.trial.Validate() == nil {
+			break
+		}
+		best.trial = nil
+	}
+	if best == nil {
+		return Change{}, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
+	}
+	muxes, err := nw.CutAndReconnect(best.c.pin, best.c.newSrc)
+	if err != nil {
+		return Change{}, err
+	}
+	return Change{
+		Cut:       best.c.pin,
+		OldSrc:    oldSrc,
+		NewSrc:    best.c.newSrc,
+		NewMuxes:  muxes,
+		Violation: [2]int{x, y},
+	}, nil
+}
+
+// BenchmarkResolvePureFlexScan measures the pure resolve loop on the
+// serial-bypass benchmark at the protocol's 700 flip-flop budget, over
+// the first role-aware spec seed with pure-path violations.
+func BenchmarkResolvePureFlexScan(b *testing.B) {
+	bm, ok := bench.ByName("FlexScan")
+	if !ok {
+		b.Fatal("FlexScan missing from the catalog")
+	}
+	nw := bm.Build(bm.ScaleForTarget(700))
+	att := bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), 7)
+	var spec *secspec.Spec
+	for seed := int64(0); spec == nil; seed++ {
+		if s := secspec.GenerateWithRoles(len(nw.Modules), att.DataSources, secspec.DefaultGenConfig(), seed); len(ViolatingRegisters(nw, s)) > 0 {
+			spec = s
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		run := nw.Clone()
+		b.StartTimer()
+		if _, err := Resolve(run, spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

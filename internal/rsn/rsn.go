@@ -201,6 +201,39 @@ func (nw *Network) inputsOf(r Ref) []Ref {
 	return nil
 }
 
+// inputAt returns input i of the element as inputsOf would list it, and
+// false past the last one. The graph walks step through inputs with it
+// instead of materializing a one-element slice per visited register.
+func (nw *Network) inputAt(r Ref, i int) (Ref, bool) {
+	switch r.Kind {
+	case KScanOut:
+		if i == 0 && nw.OutSrc.IsValid() && nw.OutSrc != NoRef {
+			return nw.OutSrc, true
+		}
+	case KRegister:
+		if in := nw.Registers[r.ID].In; i == 0 && in != NoRef && in.IsValid() {
+			return in, true
+		}
+	case KMux:
+		if ins := nw.Muxes[r.ID].Inputs; i < len(ins) {
+			return ins[i], true
+		}
+	}
+	return Ref{}, false
+}
+
+// rootAt enumerates the walk roots of the connection graph: ScanOut
+// first, then every register, then every mux (1+registers+muxes roots).
+func (nw *Network) rootAt(k int) Ref {
+	switch {
+	case k == 0:
+		return ScanOut
+	case k <= len(nw.Registers):
+		return Reg(k - 1)
+	}
+	return Mx(k - 1 - len(nw.Registers))
+}
+
 // Validate checks structural sanity: all references in range, scan-out
 // connected, the connection graph acyclic, and every register reachable
 // from scan-in and able to reach scan-out over some configuration.
@@ -298,6 +331,13 @@ type refSet struct {
 
 func (s refSet) has(r Ref) bool { return s.marks[s.nw.refIndex(r)] }
 
+// walkFrame is one open element of a depth-first walk over inputs: the
+// element and the index of its next input to visit.
+type walkFrame struct {
+	r   Ref
+	idx int
+}
+
 // findCycle returns a description of an element on a cycle of the
 // connection graph, or "" if the graph is acyclic.
 func (nw *Network) findCycle() string {
@@ -307,41 +347,29 @@ func (nw *Network) findCycle() string {
 		black = 2
 	)
 	color := make([]uint8, nw.numRefs())
-	type frame struct {
-		r   Ref
-		idx int
-	}
-	var stack []frame
-	var roots []Ref
-	roots = append(roots, ScanOut)
-	for i := range nw.Registers {
-		roots = append(roots, Reg(i))
-	}
-	for i := range nw.Muxes {
-		roots = append(roots, Mx(i))
-	}
-	for _, root := range roots {
+	var stack []walkFrame
+	for k := 0; k < nw.numRefs()-1; k++ {
+		root := nw.rootAt(k)
 		if color[nw.refIndex(root)] != white {
 			continue
 		}
-		stack = append(stack[:0], frame{root, 0})
+		stack = append(stack[:0], walkFrame{root, 0})
 		color[nw.refIndex(root)] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			ins := nw.inputsOf(f.r)
-			if f.idx >= len(ins) {
+			next, ok := nw.inputAt(f.r, f.idx)
+			if !ok {
 				color[nw.refIndex(f.r)] = black
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			next := ins[f.idx]
 			f.idx++
 			switch color[nw.refIndex(next)] {
 			case gray:
 				return next.String()
 			case white:
 				color[nw.refIndex(next)] = gray
-				stack = append(stack, frame{next, 0})
+				stack = append(stack, walkFrame{next, 0})
 			}
 		}
 	}
@@ -353,7 +381,8 @@ func (nw *Network) findCycle() string {
 // configuration).
 func (nw *Network) reachableBackward(r Ref) refSet {
 	seen := refSet{nw, make([]bool, nw.numRefs())}
-	stack := []Ref{r}
+	stack := make([]Ref, 1, 16)
+	stack[0] = r
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -362,44 +391,64 @@ func (nw *Network) reachableBackward(r Ref) refSet {
 			continue
 		}
 		seen.marks[idx] = true
-		stack = append(stack, nw.inputsOf(cur)...)
+		for i := 0; ; i++ {
+			in, ok := nw.inputAt(cur, i)
+			if !ok {
+				break
+			}
+			stack = append(stack, in)
+		}
 	}
 	return seen
 }
 
 // reachableForward returns the set of elements reachable from r by
 // following fanout (i.e. all elements r's data can reach over some
-// configuration).
+// configuration). Rather than building the fanout adjacency, it walks
+// inputs depth-first from every element with a memo: an element is
+// reached when it is r or one of its connected inputs is reached. The
+// network must be acyclic (Validate checks cycles first); on a cycle
+// the walk does not follow the closing edge.
 func (nw *Network) reachableForward(r Ref) refSet {
-	// Dense fanout adjacency.
-	fan := make([][]Ref, nw.numRefs())
-	addFan := func(src, dst Ref) {
-		if src != NoRef && src.IsValid() {
-			i := nw.refIndex(src)
-			fan[i] = append(fan[i], dst)
-		}
-	}
-	for i := range nw.Registers {
-		addFan(nw.Registers[i].In, Reg(i))
-	}
-	for i := range nw.Muxes {
-		for _, in := range nw.Muxes[i].Inputs {
-			addFan(in, Mx(i))
-		}
-	}
-	addFan(nw.OutSrc, ScanOut)
-
 	seen := refSet{nw, make([]bool, nw.numRefs())}
-	stack := []Ref{r}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		idx := nw.refIndex(cur)
-		if seen.marks[idx] {
+	state := make([]uint8, nw.numRefs()) // 0 new, 1 open, 2 done
+	seen.marks[nw.refIndex(r)] = true
+	state[nw.refIndex(r)] = 2
+	stack := make([]walkFrame, 0, 16)
+	for k := 0; k < nw.numRefs()-1; k++ {
+		root := nw.rootAt(k)
+		if state[nw.refIndex(root)] != 0 {
 			continue
 		}
-		seen.marks[idx] = true
-		stack = append(stack, fan[idx]...)
+		stack = append(stack[:0], walkFrame{root, 0})
+		state[nw.refIndex(root)] = 1
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			fi := nw.refIndex(f.r)
+			in, ok := nw.inputAt(f.r, f.idx)
+			if !ok || seen.marks[fi] {
+				// Answered: every input is done, or one was reached.
+				state[fi] = 2
+				stack = stack[:len(stack)-1]
+				if seen.marks[fi] && len(stack) > 0 {
+					seen.marks[nw.refIndex(stack[len(stack)-1].r)] = true
+				}
+				continue
+			}
+			f.idx++
+			if in == NoRef || !in.IsValid() {
+				continue
+			}
+			switch ii := nw.refIndex(in); state[ii] {
+			case 0:
+				state[ii] = 1
+				stack = append(stack, walkFrame{in, 0})
+			case 2:
+				if seen.marks[ii] {
+					seen.marks[fi] = true
+				}
+			}
+		}
 	}
 	return seen
 }
@@ -444,37 +493,31 @@ func (nw *Network) InputsOf(r Ref) []Ref { return nw.inputsOf(r) }
 // sources before the elements they feed. It panics if the network is
 // cyclic; call Validate first.
 func (nw *Network) ElementTopoOrder() []Ref {
-	order := make([]Ref, 0, nw.numRefs())
+	// The depth-first post-order is written straight into the result
+	// behind ScanIn; ScanOut, reached first as the first root, is held
+	// back and appended at the very end for a stable contract.
+	out := make([]Ref, 1, nw.numRefs())
+	out[0] = ScanIn
 	state := make([]uint8, nw.numRefs()) // 0 new, 1 open, 2 done
-	type frame struct {
-		r   Ref
-		ins []Ref // the element's inputs, resolved once per visit
-		idx int
-	}
-	var stack []frame
-	var roots []Ref
-	roots = append(roots, ScanOut)
-	for i := range nw.Registers {
-		roots = append(roots, Reg(i))
-	}
-	for i := range nw.Muxes {
-		roots = append(roots, Mx(i))
-	}
-	for _, root := range roots {
+	stack := make([]walkFrame, 0, 16)
+	for k := 0; k < nw.numRefs()-1; k++ {
+		root := nw.rootAt(k)
 		if state[nw.refIndex(root)] != 0 {
 			continue
 		}
-		stack = append(stack[:0], frame{root, nw.inputsOf(root), 0})
+		stack = append(stack[:0], walkFrame{root, 0})
 		state[nw.refIndex(root)] = 1
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.idx >= len(f.ins) {
+			next, ok := nw.inputAt(f.r, f.idx)
+			if !ok {
 				state[nw.refIndex(f.r)] = 2
-				order = append(order, f.r)
+				if f.r != ScanOut && f.r != ScanIn {
+					out = append(out, f.r)
+				}
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			next := f.ins[f.idx]
 			f.idx++
 			switch state[nw.refIndex(next)] {
 			case 1:
@@ -482,24 +525,14 @@ func (nw *Network) ElementTopoOrder() []Ref {
 			case 0:
 				if next != ScanIn {
 					state[nw.refIndex(next)] = 1
-					stack = append(stack, frame{next, nw.inputsOf(next), 0})
+					stack = append(stack, walkFrame{next, 0})
 				} else {
 					state[nw.refIndex(next)] = 2
 				}
 			}
 		}
 	}
-	// ScanIn first, ScanOut naturally last among its ancestors; move
-	// ScanOut to the very end for a stable contract.
-	out := make([]Ref, 0, len(order)+1)
-	out = append(out, ScanIn)
-	for _, r := range order {
-		if r != ScanOut && r != ScanIn {
-			out = append(out, r)
-		}
-	}
-	out = append(out, ScanOut)
-	return out
+	return append(out, ScanOut)
 }
 
 // Sink identifies one input pin of an element: the element and the
@@ -695,6 +728,29 @@ func (nw *Network) Stats() Stats {
 		Registers: len(nw.Registers),
 		ScanFFs:   nw.NumScanFFs(),
 		Muxes:     len(nw.Muxes),
+	}
+}
+
+// CopyInto makes dst a copy of nw's wiring for trial edits, reusing
+// dst's register and mux buffers. The register structs are copied by
+// value, so dst shares nw's read-only Capture/Update links and module
+// names; only wiring edits (SetSink, CutAndReconnect) may be applied to
+// dst afterwards. The resolvers refill one trial network per worker for
+// every candidate change this way instead of cloning.
+func (nw *Network) CopyInto(dst *Network) {
+	dst.Name, dst.OutSrc, dst.Modules = nw.Name, nw.OutSrc, nw.Modules
+	dst.Registers = append(dst.Registers[:0], nw.Registers...)
+	if cap(dst.Muxes) < len(nw.Muxes) {
+		// Keep the input buffers of the slots already owned.
+		grown := make([]Mux, len(nw.Muxes), len(nw.Muxes)+len(nw.Muxes)/8+1)
+		copy(grown, dst.Muxes[:cap(dst.Muxes)])
+		dst.Muxes = grown
+	}
+	dst.Muxes = dst.Muxes[:len(nw.Muxes)]
+	for i := range nw.Muxes {
+		m := &dst.Muxes[i]
+		m.Name = nw.Muxes[i].Name
+		m.Inputs = append(m.Inputs[:0], nw.Muxes[i].Inputs...)
 	}
 }
 
