@@ -1,6 +1,7 @@
 // Package bitset provides a dense fixed-size bit set used by the
-// dependency matrices: one row per flip-flop, one bit per potential
-// dependency source. The multi-cycle closure is bit-parallel over rows.
+// dependency matrices: one row per member of a dependency component,
+// one bit per potential dependency source in it. Bridging and the
+// multi-cycle closure are bit-parallel over rows.
 package bitset
 
 import "math/bits"
@@ -15,6 +16,18 @@ type Set struct {
 // New returns a set with capacity for n bits, all clear.
 func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
+}
+
+// Rows returns n sets of capacity cols bits each, all clear, backed by
+// one shared word slab: a dense bit matrix in two allocations.
+func Rows(n, cols int) []Set {
+	w := (cols + 63) / 64
+	slab := make([]uint64, n*w)
+	rows := make([]Set, n)
+	for i := range rows {
+		rows[i] = Set{words: slab[i*w : (i+1)*w : (i+1)*w], n: cols}
+	}
+	return rows
 }
 
 // Len returns the capacity in bits.

@@ -218,7 +218,7 @@ func securePipeline(an *hybrid.Analysis, nw *rsn.Network, eng engine.Options, re
 	t0 = time.Now()
 	pureDone := eng.Stage("pure-resolve").Start()
 	pureSpan := eng.StartSpan("pure-resolve")
-	pres, err := pure.Resolve(nw, spec)
+	pres, err := pure.ResolveOpts(nw, spec, eng)
 	if pres != nil {
 		pureSpan.SetAttrs(obs.Int("violations_before", int64(pres.ViolatingBefore)),
 			obs.Int("changes", int64(len(pres.Changes))))

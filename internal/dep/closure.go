@@ -1,25 +1,24 @@
-// Sparse multi-cycle closure: Tarjan SCC condensation followed by
-// reverse-topological bitset row unions.
+// Sparse multi-cycle closure: per component block, Tarjan SCC
+// condensation followed by reverse-topological bitset row unions.
 //
-// The dense Warshall closure (ClosureWarshall) is cubic in the matrix
-// dimension regardless of how sparse the dependency graph is. After
-// bridging the graph is sparse and almost acyclic — register chains and
-// capture/update couplings produce long DAG-like strands with small
-// cycles — so the condensation is near-linear: every strongly connected
-// component's closure row is the union of its successors' rows (plus
-// its own members when the component is cyclic), and Tarjan emits
-// components in reverse topological order, meaning every successor is
-// finished before its predecessors start. Components on the same
-// topological level are independent and fan out over the engine worker
-// pool; unions of bit sets are commutative and each component writes
-// only its own rows, so results are bit-identical to the sequential
-// computation — and to the Warshall reference — at any worker count
-// (TestSCCClosureMatchesWarshall checks this differentially).
+// A dense Warshall closure is cubic in the matrix dimension regardless
+// of how sparse the dependency graph is. After bridging the graph is
+// sparse and almost acyclic — register chains and capture/update
+// couplings produce long DAG-like strands with small cycles — so the
+// condensation is near-linear: every strongly connected component's
+// closure row is the union of its successors' rows (plus its own members
+// when the component is cyclic), and Tarjan emits components in reverse
+// topological order, meaning every successor is finished before its
+// predecessors start. Paths never leave a block, so each block closes
+// on its own and the blocks fan out over the engine worker pool; each
+// writes only its own rows, so results are bit-identical to the
+// sequential computation — and to the dense Warshall reference — at any
+// worker count (TestSCCClosureMatchesWarshall checks this
+// differentially).
 
 package dep
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitset"
@@ -31,166 +30,121 @@ import (
 // an engine configuration: the transitive closure of path edges and,
 // independently, of structural edges (a chain containing any
 // only-structural link is structural). Cancellation is honored between
-// topological levels; on cancellation the matrix is left untouched and
-// the context error is returned. The stage "closure" items counter
-// receives the number of condensed components.
+// blocks; on cancellation the matrix is left untouched and the context
+// error is returned. The stage "closure" items counter receives the
+// number of strongly connected components of both relations over all
+// nodes, a node without dependencies counting as one component of each.
 func ClosureOpts(m *Matrix, opts engine.Options) error {
 	stage := opts.Stage("closure")
 	span := opts.StartSpan("closure", obs.Int("nodes", int64(m.N())))
 	defer span.End()
-	np, ncp, err := closedRows(m.path, opts)
+	all := make([]int32, len(m.blocks))
+	for c := range all {
+		all[c] = int32(c)
+	}
+	closed := make([][2][]bitset.Set, len(m.blocks))
+	var ncp, ncs atomic.Int64
+	err := forEachBlock(all, opts, func(c int32) {
+		b := &m.blocks[c]
+		p, np := closedRows(b.path)
+		s, ns := closedRows(b.str)
+		closed[c] = [2][]bitset.Set{p, s}
+		ncp.Add(int64(np))
+		ncs.Add(int64(ns))
+	})
 	if err != nil {
 		return err
 	}
-	ns, ncs, err := closedRows(m.str, opts)
-	if err != nil {
-		return err
+	isolated := int64(m.n)
+	for c := range m.blocks {
+		m.blocks[c].path, m.blocks[c].str = closed[c][0], closed[c][1]
+		isolated -= int64(len(m.blocks[c].members))
 	}
-	m.path = np
-	m.str = ns
-	stage.AddItems(int64(ncp + ncs))
-	span.SetAttrs(obs.Int("sccs_path", int64(ncp)), obs.Int("sccs_structural", int64(ncs)))
-	rebuildReverse(m)
+	np, ns := ncp.Load()+isolated, ncs.Load()+isolated
+	stage.AddItems(np + ns)
+	span.SetAttrs(obs.Int("sccs_path", np), obs.Int("sccs_structural", ns))
 	return nil
 }
 
-// closedRows returns the transitive closure of one relation as fresh
-// rows (the input rows are not modified), plus the number of strongly
-// connected components of the relation's graph.
-func closedRows(rows []*bitset.Set, opts engine.Options) ([]*bitset.Set, int, error) {
+// closedRows returns the transitive closure of one block relation as
+// fresh rows (the input rows are not modified), plus the number of
+// strongly connected components of the relation's graph.
+func closedRows(rows []bitset.Set) ([]bitset.Set, int) {
 	n := len(rows)
 	// Snapshot the adjacency as index slices: bitset iteration is
 	// ascending, so successor lists are canonical.
-	adj := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		if !rows[i].Any() {
-			continue
-		}
-		s := make([]int32, 0, rows[i].Count())
-		rows[i].ForEach(func(j int) { s = append(s, int32(j)) })
-		adj[i] = s
+	total := 0
+	for i := range rows {
+		total += rows[i].Count()
 	}
-	comp, comps := tarjanSCC(adj, n)
-	nc := len(comps)
+	adj := make([][]int32, n)
+	flat := make([]int32, 0, total)
+	for i := range rows {
+		s := len(flat)
+		rows[i].ForEach(func(j int) { flat = append(flat, int32(j)) })
+		adj[i] = flat[s:len(flat):len(flat)]
+	}
+	comp, order, start := tarjanSCC(adj)
+	nc := len(start) - 1
 
-	// Condensation metadata: cyclic flag, deduped successor components
-	// and topological level per component. Tarjan's emission order is
-	// reverse topological — for every cross edge C -> C', C' is emitted
-	// before C — so one pass in emission order sees successors finished.
+	// Tarjan's emission order is reverse topological — for every cross
+	// edge C -> C', C' is emitted before C — so one pass in emission
+	// order sees every successor finished. Row out[rep] of a component's
+	// first member holds its closure; reachability through a successor
+	// s is s's row plus s's members, which the row already holds when s
+	// is cyclic and is the lone member otherwise.
+	out := bitset.Rows(n, n)
 	cyclic := make([]bool, nc)
-	succ := make([][]int32, nc)
-	level := make([]int32, nc)
-	maxLevel := int32(0)
 	stamp := make([]int32, nc)
 	for i := range stamp {
 		stamp[i] = -1
 	}
 	for c := 0; c < nc; c++ {
-		members := comps[c]
-		cyclic[c] = len(members) > 1
-		lv := int32(0)
+		members := order[start[c]:start[c+1]]
+		res := &out[members[0]]
+		cyc := len(members) > 1
 		for _, u := range members {
 			for _, w := range adj[u] {
 				cw := comp[w]
 				if cw == int32(c) {
-					if w == u {
-						cyclic[c] = true // self-loop
-					}
+					cyc = cyc || w == u // self-loop
 					continue
 				}
-				if stamp[cw] != int32(c) {
-					stamp[cw] = int32(c)
-					succ[c] = append(succ[c], cw)
-					if level[cw]+1 > lv {
-						lv = level[cw] + 1
-					}
+				if stamp[cw] == int32(c) {
+					continue
+				}
+				stamp[cw] = int32(c)
+				rep := order[start[cw]]
+				res.Or(&out[rep])
+				if !cyclic[cw] {
+					res.Set(int(rep))
 				}
 			}
 		}
-		level[c] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	buckets := make([][]int32, maxLevel+1)
-	for c := 0; c < nc; c++ {
-		buckets[level[c]] = append(buckets[level[c]], int32(c))
-	}
-
-	// Reverse-topological row unions, level by level. down[c] is the
-	// reachability set of component c including its own members; the
-	// result row of every member is down of the successors, plus the
-	// members themselves when the component is cyclic (a node on a cycle
-	// reaches itself). Components of one level are independent — each
-	// writes only its own down set and member rows — so a level fans out
-	// over the worker pool with a barrier in between, and the unions
-	// commute, keeping results bit-identical at any worker count.
-	down := make([]*bitset.Set, nc)
-	out := make([]*bitset.Set, n)
-	workers := opts.WorkerCount()
-	ctx := opts.Ctx()
-	process := func(c int32) {
-		members := comps[c]
-		res := bitset.New(n)
-		for _, s := range succ[c] {
-			res.Or(down[s])
-		}
-		if cyclic[c] {
+		if cyc {
 			for _, u := range members {
-				res.Set(int(u))
+				res.Set(int(u)) // a node on a cycle reaches itself
 			}
 		}
-		d := res.Clone()
-		for _, u := range members {
-			d.Set(int(u))
-		}
-		down[c] = d
-		out[members[0]] = res
+		cyclic[c] = cyc
 		for _, u := range members[1:] {
-			out[u] = res.Clone()
+			out[u].Or(res)
 		}
 	}
-	for _, bucket := range buckets {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		w := workers
-		if w > len(bucket) {
-			w = len(bucket)
-		}
-		if w <= 1 {
-			for _, c := range bucket {
-				process(c)
-			}
-			continue
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					idx := int(next.Add(1)) - 1
-					if idx >= len(bucket) {
-						return
-					}
-					process(bucket[idx])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return out, nc, nil
+	return out, nc
 }
 
 // tarjanSCC computes the strongly connected components of the graph
 // given as adjacency lists, iteratively (no recursion — register chains
 // make paths thousands of nodes long). It returns the component id per
-// node and the member lists in reverse topological emission order:
-// every component is emitted after all components reachable from it.
-func tarjanSCC(adj [][]int32, n int) (comp []int32, comps [][]int32) {
+// node and the members grouped by component in reverse topological
+// emission order — every component is emitted after all components
+// reachable from it — component c being order[start[c]:start[c+1]].
+func tarjanSCC(adj [][]int32) (comp, order, start []int32) {
+	n := len(adj)
 	comp = make([]int32, n)
+	order = make([]int32, 0, n)
+	start = []int32{0}
 	index := make([]int32, n) // 0 = unvisited, otherwise discovery index + 1
 	low := make([]int32, n)
 	onStack := make([]bool, n)
@@ -231,18 +185,18 @@ func tarjanSCC(adj [][]int32, n int) (comp []int32, comps [][]int32) {
 				continue
 			}
 			if low[v] == index[v] {
-				var members []int32
+				c := int32(len(start) - 1)
 				for {
 					w := sccStack[len(sccStack)-1]
 					sccStack = sccStack[:len(sccStack)-1]
 					onStack[w] = false
-					comp[w] = int32(len(comps))
-					members = append(members, w)
+					comp[w] = c
+					order = append(order, w)
 					if w == v {
 						break
 					}
 				}
-				comps = append(comps, members)
+				start = append(start, int32(len(order)))
 			}
 			dfs = dfs[:len(dfs)-1]
 			if len(dfs) > 0 {
@@ -253,5 +207,5 @@ func tarjanSCC(adj [][]int32, n int) (comp []int32, comps [][]int32) {
 			}
 		}
 	}
-	return comp, comps
+	return comp, order, start
 }

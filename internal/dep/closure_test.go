@@ -3,91 +3,119 @@ package dep
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/engine"
+	"repro/internal/icl"
+	"repro/internal/netlist"
 )
 
-// reverseConsistent checks that the reverse adjacency mirrors the
-// forward rows exactly (Matrix.Equal only compares forward rows).
-func reverseConsistent(t *testing.T, m *Matrix) {
-	t.Helper()
-	for i := 0; i < m.N(); i++ {
-		i := i
-		m.path[i].ForEach(func(j int) {
-			if !m.rpath[j].Has(i) {
-				t.Fatalf("rpath[%d] missing %d", j, i)
-			}
-		})
-		m.rpath[i].ForEach(func(j int) {
-			if !m.path[j].Has(i) {
-				t.Fatalf("rpath[%d] has stale %d", i, j)
-			}
-		})
-		m.str[i].ForEach(func(j int) {
-			if !m.rstr[j].Has(i) {
-				t.Fatalf("rstr[%d] missing %d", j, i)
-			}
-		})
-		m.rstr[i].ForEach(func(j int) {
-			if !m.str[j].Has(i) {
-				t.Fatalf("rstr[%d] has stale %d", i, j)
-			}
-		})
-	}
-}
-
-// TestSCCClosureMatchesWarshall is the differential check of the sparse
-// closure: on random matrices of varying size, density and cyclicity —
-// with both Path and Structural entries — and on the dependency
-// matrices of scaled catalog benchmarks in both modes, ClosureOpts must
-// produce matrices bit-identical to the dense Warshall reference at any
-// worker count, with consistent reverse adjacency.
+// TestSCCClosureMatchesWarshall is the differential check of the
+// component-local pipeline: on random relations of varying size,
+// density, cyclicity and component structure — with both Path and
+// Structural entries and random internal flip-flops — on the dependency
+// matrices of scaled catalog benchmarks in both modes, and on the
+// preset register chains of a generated SIB network, BridgeOpts must
+// agree with the dense one-at-a-time Bridge and ClosureOpts with the
+// dense Warshall closure, Kind for Kind on every pair, at any worker
+// count.
 func TestSCCClosureMatchesWarshall(t *testing.T) {
-	check := func(t *testing.T, base *Matrix) {
+	check := func(t *testing.T, base *denseMatrix, internal []netlist.FFID) {
 		t.Helper()
-		ref := base.Clone()
-		ClosureWarshall(ref)
+		bridged := base.clone()
+		bridged.bridge(internal)
+		closed := bridged.clone()
+		closed.warshall()
 		for _, workers := range []int{1, 3, 8} {
-			m := base.Clone()
-			if err := ClosureOpts(m, engine.Options{Workers: workers}); err != nil {
+			opts := engine.Options{Workers: workers}
+			m := base.matrix()
+			if err := BridgeOpts(m, internal, opts); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
-			if !m.Equal(ref) {
+			if !bridged.equal(m) {
+				t.Fatalf("workers=%d: component-local bridging differs from the dense reference", workers)
+			}
+			if err := ClosureOpts(m, opts); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if !closed.equal(m) {
 				t.Fatalf("workers=%d: SCC closure differs from Warshall", workers)
 			}
-			reverseConsistent(t, m)
 		}
+	}
+	// someInternal picks a random subset of the nodes, in random order.
+	someInternal := func(rng *rand.Rand, n int) []netlist.FFID {
+		var out []netlist.FFID
+		for _, i := range rng.Perm(n) {
+			if rng.Intn(4) == 0 {
+				out = append(out, netlist.FFID(i))
+			}
+		}
+		return out
 	}
 
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		for iter := 0; iter < 80; iter++ {
 			n := 2 + rng.Intn(40)
-			base := NewMatrix(n)
+			base := newDense(n)
 			// Sweep density from sparse DAG-like up to heavily cyclic;
 			// include self-loops (i == j is allowed by Intn collisions).
 			edges := rng.Intn(4 * n)
 			for e := 0; e < edges; e++ {
-				base.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
+				base.set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 			}
-			check(t, base)
+			check(t, base, nil)
+			check(t, base, someInternal(rng, n))
 		}
 		// A few long chains and pure cycles: the shapes register chains
 		// and capture/update couplings produce after bridging.
 		for _, n := range []int{1, 2, 65, 130} {
-			chain := NewMatrix(n)
-			ring := NewMatrix(n)
+			chain := newDense(n)
+			ring := newDense(n)
 			for i := 1; i < n; i++ {
-				chain.Set(i, i-1, Path)
-				ring.Set(i, i-1, Structural)
+				chain.set(i, i-1, Path)
+				ring.set(i, i-1, Structural)
 			}
 			if n > 1 {
-				ring.Set(0, n-1, Path)
+				ring.set(0, n-1, Path)
 			}
-			check(t, chain)
-			check(t, ring)
+			check(t, chain, nil)
+			check(t, ring, nil)
+		}
+	})
+
+	t.Run("components", func(t *testing.T) {
+		// Many small components plus one large cyclic one, their nodes
+		// interleaved over the index space by a random permutation.
+		rng := rand.New(rand.NewSource(61))
+		for iter := 0; iter < 6; iter++ {
+			n := 300 + rng.Intn(200)
+			perm := rng.Perm(n)
+			base := newDense(n)
+			next := 0
+			take := func(k int) []int {
+				ids := perm[next : next+k]
+				next += k
+				return ids
+			}
+			big := take(120 + rng.Intn(60))
+			for i := range big {
+				base.set(big[(i+1)%len(big)], big[i], Kind(1+rng.Intn(2)))
+			}
+			for e := 0; e < len(big); e++ {
+				base.set(big[rng.Intn(len(big))], big[rng.Intn(len(big))], Kind(1+rng.Intn(2)))
+			}
+			for next < n {
+				small := take(min(1+rng.Intn(8), n-next))
+				for e := 0; e < 2*len(small); e++ {
+					base.set(small[rng.Intn(len(small))], small[rng.Intn(len(small))], Kind(1+rng.Intn(2)))
+				}
+			}
+			check(t, base, nil)
+			check(t, base, someInternal(rng, n))
 		}
 	})
 
@@ -101,12 +129,38 @@ func TestSCCClosureMatchesWarshall(t *testing.T) {
 					}
 					att := bench.AttachCircuit(b.Build(0.15), bench.DefaultCircuitConfig(), 7)
 					var stats Stats
-					m := OneCycleMatrix(att.Circuit, mode, &stats)
-					Bridge(m, att.Internal)
-					check(t, m)
+					check(t, denseOf(OneCycleMatrix(att.Circuit, mode, &stats)), att.Internal)
 				})
 			}
 		}
+	})
+
+	t.Run("sib", func(t *testing.T) {
+		// The preset register chains of a generated 512-FF SIB network:
+		// every register is one component, its chain a path DAG.
+		var sb strings.Builder
+		if _, err := bench.StreamScaleICL(&sb, nil, bench.ScaleGenConfig{TargetScanFFs: 512, WithSpec: true, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		nw, _, err := icl.ParseNetworkAndSpec(sb.String(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, r := range nw.Registers {
+			total += r.Len
+		}
+		base := newDense(total)
+		off := 0
+		for _, r := range nw.Registers {
+			for j := 1; j < r.Len; j++ {
+				for i := 0; i < j; i++ {
+					base.set(off+j, off+i, Path)
+				}
+			}
+			off += r.Len
+		}
+		check(t, base, nil)
 	})
 }
 
@@ -114,10 +168,11 @@ func TestSCCClosureMatchesWarshall(t *testing.T) {
 // closure with the context's error and leaves the matrix untouched.
 func TestClosureOptsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	base := NewMatrix(60)
+	g := NewEdges(60)
 	for e := 0; e < 200; e++ {
-		base.Set(rng.Intn(60), rng.Intn(60), Kind(1+rng.Intn(2)))
+		g.Add(rng.Intn(60), rng.Intn(60), Kind(1+rng.Intn(2)))
 	}
+	base := g.Split()
 	m := base.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -130,12 +185,14 @@ func TestClosureOptsCancellation(t *testing.T) {
 }
 
 // TestClosureItemsCounter checks that the stage items counter records
-// the condensed component count of both relations.
+// the condensed component count of both relations over all nodes, a
+// node without dependencies counting as one component of each.
 func TestClosureItemsCounter(t *testing.T) {
-	m := NewMatrix(4)
-	m.Set(1, 0, Path)
-	m.Set(2, 1, Path)
-	m.Set(1, 2, Path) // 1 and 2 form one SCC of the path relation
+	g := NewEdges(4)
+	g.Add(1, 0, Path)
+	g.Add(2, 1, Path)
+	g.Add(1, 2, Path) // 1 and 2 form one SCC of the path relation
+	m := g.Split()
 	stats := engine.NewStats()
 	if err := ClosureOpts(m, engine.Options{Stats: stats}); err != nil {
 		t.Fatal(err)
@@ -152,13 +209,12 @@ func TestClosureItemsCounter(t *testing.T) {
 func BenchmarkClosureWarshall(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n := 400
-	base := NewMatrix(n)
+	base := newDense(n)
 	for e := 0; e < n*4; e++ {
-		base.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
+		base.set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := base.Clone()
-		ClosureWarshall(m)
+		base.clone().warshall()
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -69,14 +68,6 @@ func Combine(a, b Kind) Kind {
 	return Structural
 }
 
-// Max aggregates two dependencies over alternative paths.
-func Max(a, b Kind) Kind {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Mode selects how 1-cycle dependencies are classified.
 type Mode uint8
 
@@ -97,139 +88,6 @@ func (m Mode) String() string {
 	return "structural-approx"
 }
 
-// Matrix is a dependency relation over flip-flops 0..n-1 with forward
-// and reverse adjacency bit sets. Entry (i, j) means "i depends on j",
-// i.e. data flows from j to i.
-type Matrix struct {
-	n    int
-	path []*bitset.Set // path[i]: j such that i path-depends on j
-	str  []*bitset.Set // str[i] ⊇ path[i]: structural dependency
-	// reverse direction, maintained for efficient bridging
-	rpath []*bitset.Set // rpath[j]: i such that i path-depends on j
-	rstr  []*bitset.Set
-}
-
-// NewMatrix returns an empty dependency matrix over n flip-flops.
-func NewMatrix(n int) *Matrix {
-	m := &Matrix{n: n}
-	m.path = make([]*bitset.Set, n)
-	m.str = make([]*bitset.Set, n)
-	m.rpath = make([]*bitset.Set, n)
-	m.rstr = make([]*bitset.Set, n)
-	for i := 0; i < n; i++ {
-		m.path[i] = bitset.New(n)
-		m.str[i] = bitset.New(n)
-		m.rpath[i] = bitset.New(n)
-		m.rstr[i] = bitset.New(n)
-	}
-	return m
-}
-
-// N returns the number of flip-flops indexed.
-func (m *Matrix) N() int { return m.n }
-
-// Set raises the dependency of i on j to at least k.
-func (m *Matrix) Set(i, j int, k Kind) {
-	switch k {
-	case Path:
-		m.path[i].Set(j)
-		m.rpath[j].Set(i)
-		fallthrough
-	case Structural:
-		m.str[i].Set(j)
-		m.rstr[j].Set(i)
-	}
-}
-
-// Kind returns the dependency of i on j.
-func (m *Matrix) Kind(i, j int) Kind {
-	if m.path[i].Has(j) {
-		return Path
-	}
-	if m.str[i].Has(j) {
-		return Structural
-	}
-	return None
-}
-
-// clearNode removes every dependency entering or leaving node k.
-func (m *Matrix) clearNode(k int) {
-	m.str[k].ForEach(func(j int) {
-		m.rpath[j].Clear(k)
-		m.rstr[j].Clear(k)
-	})
-	m.rstr[k].ForEach(func(i int) {
-		m.path[i].Clear(k)
-		m.str[i].Clear(k)
-	})
-	m.path[k].Reset()
-	m.str[k].Reset()
-	m.rpath[k].Reset()
-	m.rstr[k].Reset()
-}
-
-// CountDeps returns the number of denoted dependencies (non-None
-// entries).
-func (m *Matrix) CountDeps() int {
-	c := 0
-	for i := 0; i < m.n; i++ {
-		c += m.str[i].Count()
-	}
-	return c
-}
-
-// CountPath returns the number of Path entries.
-func (m *Matrix) CountPath() int {
-	c := 0
-	for i := 0; i < m.n; i++ {
-		c += m.path[i].Count()
-	}
-	return c
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	cp := &Matrix{n: m.n}
-	cl := func(rows []*bitset.Set) []*bitset.Set {
-		out := make([]*bitset.Set, len(rows))
-		for i, r := range rows {
-			out[i] = r.Clone()
-		}
-		return out
-	}
-	cp.path = cl(m.path)
-	cp.str = cl(m.str)
-	cp.rpath = cl(m.rpath)
-	cp.rstr = cl(m.rstr)
-	return cp
-}
-
-// Equal reports whether the two matrices denote exactly the same
-// dependencies (same size, same path and structural entries).
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.n != o.n {
-		return false
-	}
-	for i := 0; i < m.n; i++ {
-		if !m.path[i].Equal(o.path[i]) || !m.str[i].Equal(o.str[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// DependsOn returns the set of j on which i depends (structurally or
-// more). The returned set is live; do not modify it.
-func (m *Matrix) DependsOn(i int) *bitset.Set { return m.str[i] }
-
-// PathDependsOn returns the set of j on which i path-depends.
-// The returned set is live; do not modify it.
-func (m *Matrix) PathDependsOn(i int) *bitset.Set { return m.path[i] }
-
-// PathDependents returns the set of i that path-depend on j (the
-// reverse adjacency). The returned set is live; do not modify it.
-func (m *Matrix) PathDependents(j int) *bitset.Set { return m.rpath[j] }
-
 // Stats reports the bookkeeping of one dependency computation.
 type Stats struct {
 	Mode             Mode
@@ -247,44 +105,6 @@ type Stats struct {
 	BridgedFFs       int
 }
 
-// Result is the outcome of Compute: the multi-cycle dependency matrix
-// over denoted flip-flops.
-type Result struct {
-	// M is the multi-cycle dependency closure. Rows/columns of bridged
-	// (internal) flip-flops are empty.
-	M *Matrix
-	// OneCycle is the 1-cycle matrix before bridging.
-	OneCycle *Matrix
-	// Denoted[f] reports whether flip-flop f survived bridging.
-	Denoted []bool
-	Stats   Stats
-}
-
-// Kind returns the multi-cycle dependency of flip-flop i on j. Both
-// must be denoted.
-func (r *Result) Kind(i, j netlist.FFID) Kind { return r.M.Kind(int(i), int(j)) }
-
-// OneCycleMatrix builds the 1-cycle dependency matrix of the circuit.
-// In Exact mode every structural dependency is classified with a SAT
-// cofactor query; in StructuralApprox mode structural implies path.
-func OneCycleMatrix(n *netlist.Netlist, mode Mode, stats *Stats) *Matrix {
-	m := NewMatrix(n.NumFFs())
-	FillOneCycle(m, n, mode, stats)
-	return m
-}
-
-// FillOneCycle writes the circuit's 1-cycle dependencies into an
-// existing matrix whose indices 0..NumFFs-1 are the circuit flip-flops.
-// The matrix may be larger than the circuit (a combined index space
-// with scan flip-flops appended, as the hybrid analysis builds).
-// It runs the default engine configuration (all CPUs, no cancellation);
-// use FillOneCycleOpts for worker control, cancellation and
-// instrumentation.
-func FillOneCycle(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats) {
-	// The background context never cancels, so the error is always nil.
-	_ = FillOneCycleOpts(m, n, mode, stats, engine.Options{})
-}
-
 // oneCycleEntry is one classified 1-cycle dependency of a root row.
 type oneCycleEntry struct {
 	leaf netlist.FFID
@@ -292,7 +112,7 @@ type oneCycleEntry struct {
 }
 
 // oneCycleRow is the result of one root's unit of work, merged into the
-// matrix by the calling goroutine in row order.
+// entry list by the calling goroutine in row order.
 type oneCycleRow struct {
 	entries                          []oneCycleEntry
 	satCalls, functional, structOnly int
@@ -313,26 +133,31 @@ type OneCycleConfig struct {
 	SimRounds int
 }
 
-// FillOneCycleOpts is FillOneCycle under an engine configuration with
-// the default 1-cycle tuning (simulation prefilter enabled).
-func FillOneCycleOpts(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opts engine.Options) error {
-	return FillOneCycleCfg(m, n, mode, stats, opts, OneCycleConfig{})
+// FillOneCycleOpts is FillOneCycleCfg with the default 1-cycle tuning
+// (simulation prefilter enabled).
+func FillOneCycleOpts(g *Edges, n *netlist.Netlist, mode Mode, stats *Stats, opts engine.Options) error {
+	return FillOneCycleCfg(g, n, mode, stats, opts, OneCycleConfig{})
 }
 
-// FillOneCycleCfg is FillOneCycle under an engine configuration: the
+// FillOneCycleCfg adds the circuit's 1-cycle dependencies to an entry
+// list whose indices 0..NumFFs-1 are the circuit flip-flops. The list
+// may be larger than the circuit (a combined index space with scan
+// flip-flops appended, as the hybrid analysis builds). In Exact mode
+// every structural dependency is classified with a SAT cofactor query;
+// in StructuralApprox mode structural implies path. The
 // per-root units of work — extract the root's fan-in cone once, run the
 // bit-parallel simulation prefilter over its support leaves, encode the
 // shared miter copy once for whatever the prefilter could not witness,
 // classify those leaves through an incremental ConeQuerier — fan out
 // over a worker pool of opts.WorkerCount() goroutines. Rows are merged
-// back into the matrix in root order on the calling goroutine, so
-// exact-mode results are bit-identical to the sequential computation,
-// and Stats counters are folded without races. Cancellation is honored
-// between SAT queries; on cancellation the matrix is left untouched and
-// the context error is returned.
-func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opts engine.Options, cfg OneCycleConfig) error {
-	if m.N() < n.NumFFs() {
-		panic("dep: matrix smaller than circuit")
+// into the list in root order on the calling goroutine, so exact-mode
+// results are bit-identical to the sequential computation, and Stats
+// counters are folded without races. Cancellation is honored between
+// SAT queries; on cancellation the list is left untouched and the
+// context error is returned.
+func FillOneCycleCfg(g *Edges, n *netlist.Netlist, mode Mode, stats *Stats, opts engine.Options, cfg OneCycleConfig) error {
+	if g.N() < n.NumFFs() {
+		panic("dep: entry list smaller than circuit")
 	}
 	stage := opts.Stage("one-cycle")
 	defer stage.Start()()
@@ -522,7 +347,7 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 	for idx, b := range jobs {
 		row := &rows[idx]
 		for _, e := range row.entries {
-			m.Set(b, int(e.leaf), e.kind)
+			g.Add(b, int(e.leaf), e.kind)
 		}
 		stats.SATCalls += row.satCalls
 		stats.SimResolved += row.simResolved
@@ -537,157 +362,4 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 	opts.Logf("one-cycle: %d roots, %d SAT queries (%d sim-resolved) over %d workers",
 		len(jobs), satCalls, simSolved, workers)
 	return nil
-}
-
-// fillOneCycleSequential is the pre-engine computation — one full miter
-// encoding per (root, leaf) pair on a single goroutine. It is retained
-// as the reference implementation for differential tests and the
-// sequential benchmark baseline.
-func fillOneCycleSequential(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats) {
-	if m.N() < n.NumFFs() {
-		panic("dep: matrix smaller than circuit")
-	}
-	for b := range n.FFs {
-		root := n.FFs[b].D
-		if root == netlist.NoNode {
-			continue
-		}
-		for _, a := range n.SupportFFs(root) {
-			if mode == StructuralApprox {
-				m.Set(b, int(a), Path)
-				continue
-			}
-			stats.SATCalls++
-			if NewConeQuerier(n, root).Depends(n.FFs[a].Node) {
-				stats.Functional1Cycle++
-				m.Set(b, int(a), Path)
-			} else {
-				stats.StructOnly1Cycle++
-				m.Set(b, int(a), Structural)
-			}
-		}
-	}
-}
-
-// Bridge eliminates the given internal flip-flops from the matrix, one
-// at a time (Figure 3): for every predecessor j and dependent i of an
-// internal flip-flop k, the dependency of i on j is raised to
-// Combine(dep(i,k), dep(k,j)); afterwards k carries no dependencies.
-// Bridge modifies m in place.
-func Bridge(m *Matrix, internal []netlist.FFID) {
-	for _, kf := range internal {
-		k := int(kf)
-		// Snapshot k's neighbors before clearing.
-		type edge struct {
-			node int
-			kind Kind
-		}
-		var preds, dependents []edge
-		m.str[k].ForEach(func(j int) {
-			if j == k {
-				return // self-loops never strengthen bridged deps
-			}
-			preds = append(preds, edge{j, m.Kind(k, j)})
-		})
-		m.rstr[k].ForEach(func(i int) {
-			if i == k {
-				return
-			}
-			dependents = append(dependents, edge{i, m.Kind(i, k)})
-		})
-		for _, d := range dependents {
-			for _, p := range preds {
-				k2 := Combine(d.kind, p.kind)
-				if k2 != None && m.Kind(d.node, p.node) < k2 {
-					m.Set(d.node, p.node, k2)
-				}
-			}
-		}
-		m.clearNode(k)
-	}
-}
-
-// Closure computes the multi-cycle dependency closure in place: the
-// transitive closure of path edges and, independently, of structural
-// edges (a chain containing any only-structural link is structural).
-// The algorithm is the sparse SCC condensation of closure.go; use
-// ClosureOpts for worker control and cancellation, ClosureWarshall for
-// the dense reference computation.
-func Closure(m *Matrix) {
-	// The background context never cancels, so the error is always nil.
-	_ = ClosureOpts(m, engine.Options{})
-}
-
-// ClosureWarshall is the dense bit-parallel Warshall closure — cubic in
-// the matrix dimension regardless of sparsity. It is retained as the
-// reference implementation for differential tests
-// (TestSCCClosureMatchesWarshall) and the benchmark baseline.
-func ClosureWarshall(m *Matrix) {
-	warshall := func(rows []*bitset.Set) {
-		n := len(rows)
-		for k := 0; k < n; k++ {
-			rk := rows[k]
-			if !rk.Any() {
-				continue
-			}
-			for i := 0; i < n; i++ {
-				if i != k && rows[i].Has(k) {
-					rows[i].Or(rk)
-				}
-			}
-		}
-	}
-	warshall(m.path)
-	warshall(m.str)
-	rebuildReverse(m)
-}
-
-// rebuildReverse recomputes the reverse adjacency from the forward rows.
-func rebuildReverse(m *Matrix) {
-	for i := 0; i < m.n; i++ {
-		if m.rpath[i] == nil {
-			m.rpath[i] = bitset.New(m.n)
-			m.rstr[i] = bitset.New(m.n)
-			continue
-		}
-		m.rpath[i].Reset()
-		m.rstr[i].Reset()
-	}
-	for i := 0; i < m.n; i++ {
-		m.path[i].ForEach(func(j int) { m.rpath[j].Set(i) })
-		m.str[i].ForEach(func(j int) { m.rstr[j].Set(i) })
-	}
-}
-
-// Compute runs the full data-flow analysis of Section III-A over the
-// circuit: 1-cycle dependencies, bridging over the internal flip-flops,
-// and the iterative multi-cycle closure on the reduced (denoted) set.
-func Compute(n *netlist.Netlist, internal []netlist.FFID, mode Mode) *Result {
-	res := &Result{}
-	res.Stats.Mode = mode
-	res.Stats.FFsTotal = n.NumFFs()
-
-	one := OneCycleMatrix(n, mode, &res.Stats)
-	res.OneCycle = one
-	res.Stats.DepsBeforeBridge = one.CountDeps()
-
-	m := one.Clone()
-	Bridge(m, internal)
-	res.Stats.BridgedFFs = len(internal)
-	res.Stats.FFsDenoted = n.NumFFs() - len(internal)
-	res.Stats.DepsAfterBridge = m.CountDeps()
-
-	Closure(m)
-	res.M = m
-	res.Stats.DepsMultiCycle = m.CountDeps()
-	res.Stats.ClosurePathDeps = m.CountPath()
-
-	res.Denoted = make([]bool, n.NumFFs())
-	for i := range res.Denoted {
-		res.Denoted[i] = true
-	}
-	for _, k := range internal {
-		res.Denoted[k] = false
-	}
-	return res
 }

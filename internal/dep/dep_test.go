@@ -205,30 +205,78 @@ func TestFunctionalDependsAgainstBruteForce(t *testing.T) {
 }
 
 func TestMatrixSetKind(t *testing.T) {
-	m := NewMatrix(4)
-	m.Set(1, 0, Structural)
-	m.Set(2, 1, Path)
-	if m.Kind(1, 0) != Structural || m.Kind(2, 1) != Path || m.Kind(0, 1) != None {
+	g := NewEdges(5)
+	g.Add(1, 0, Structural)
+	g.Add(2, 1, Path)
+	g.Add(4, 3, None) // no entry
+	m := g.Split()
+	if m.Kind(1, 0) != Structural || m.Kind(2, 1) != Path || m.Kind(0, 1) != None || m.Kind(4, 3) != None {
 		t.Fatal("Kind wrong")
 	}
 	// Raising structural to path must work.
-	m.Set(1, 0, Path)
+	g.Add(1, 0, Path)
+	m = g.Split()
 	if m.Kind(1, 0) != Path {
 		t.Fatal("raise to Path failed")
 	}
 	if m.CountDeps() != 2 || m.CountPath() != 2 {
 		t.Fatalf("counts: deps=%d path=%d", m.CountDeps(), m.CountPath())
 	}
+	// 0, 1 and 2 form one component; 3 and 4 have no dependencies.
+	if len(m.blocks) != 1 || m.comp[3] != -1 || m.comp[4] != -1 {
+		t.Fatalf("components: %d blocks, comp %v", len(m.blocks), m.comp)
+	}
+}
+
+// TestSplitComponents checks the union-find split: interleaved
+// components get one block each, numbered by their smallest member,
+// with members ascending and local indices matching their position.
+func TestSplitComponents(t *testing.T) {
+	g := NewEdges(9)
+	g.Add(6, 2, Path)       // {2, 6, 8}
+	g.Add(8, 6, Structural) //
+	g.Add(5, 1, Path)       // {1, 5}
+	g.Add(7, 7, Path)       // {7}: a self-loop only
+	m := g.Split()
+	want := [][]int32{{1, 5}, {2, 6, 8}, {7}}
+	if len(m.blocks) != len(want) {
+		t.Fatalf("%d blocks, want %d", len(m.blocks), len(want))
+	}
+	for c, members := range want {
+		b := &m.blocks[c]
+		if len(b.members) != len(members) || len(b.path) != len(members) || len(b.str) != len(members) {
+			t.Fatalf("block %d: members %v, want %v", c, b.members, members)
+		}
+		for l, u := range members {
+			if b.members[l] != u || m.comp[u] != int32(c) || m.local[u] != int32(l) {
+				t.Fatalf("block %d: members %v, want %v", c, b.members, members)
+			}
+		}
+	}
+	for _, i := range []int{0, 3, 4} {
+		if m.comp[i] != -1 {
+			t.Fatalf("node %d without dependencies is in block %d", i, m.comp[i])
+		}
+	}
+	if m.Kind(8, 2) != None || m.Kind(8, 6) != Structural || m.Kind(7, 7) != Path || m.Kind(5, 6) != None {
+		t.Fatal("Kind wrong after split")
+	}
+	var got []int
+	m.ForEachPath(6, func(j int) { got = append(got, j) })
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("ForEachPath(6) = %v, want [2]", got)
+	}
 }
 
 // TestBridgeFigure3 reproduces the paper's Figure 3 bridging trace.
 func TestBridgeFigure3(t *testing.T) {
 	// Indices: F5=0, F6=1, IF1=2, IF2=3, F9=4.
-	m := NewMatrix(5)
-	m.Set(4, 3, Path)       // F9 on IF2
-	m.Set(3, 2, Path)       // IF2 on IF1
-	m.Set(2, 1, Structural) // IF1 on F6 (str.)
-	m.Set(2, 0, Path)       // IF1 on F5
+	g := NewEdges(5)
+	g.Add(4, 3, Path)       // F9 on IF2
+	g.Add(3, 2, Path)       // IF2 on IF1
+	g.Add(2, 1, Structural) // IF1 on F6 (str.)
+	g.Add(2, 0, Path)       // IF1 on F5
+	m := g.Split()
 	Bridge(m, []netlist.FFID{2, 3})
 	if got := m.Kind(4, 0); got != Path {
 		t.Errorf("F9 on F5 = %v, want path", got)
@@ -250,23 +298,46 @@ func TestBridgeFigure3(t *testing.T) {
 func TestBridgeIntermediateStep(t *testing.T) {
 	// After bridging only IF1, Figure 3 shows IF2 on F6 (str.) and
 	// IF2 on F5 (path) with F9 on IF2 unchanged.
-	m := NewMatrix(5)
-	m.Set(4, 3, Path)
-	m.Set(3, 2, Path)
-	m.Set(2, 1, Structural)
-	m.Set(2, 0, Path)
+	g := NewEdges(5)
+	g.Add(4, 3, Path)
+	g.Add(3, 2, Path)
+	g.Add(2, 1, Structural)
+	g.Add(2, 0, Path)
+	m := g.Split()
 	Bridge(m, []netlist.FFID{2})
 	if m.Kind(3, 1) != Structural || m.Kind(3, 0) != Path || m.Kind(4, 3) != Path {
 		t.Fatalf("intermediate state wrong: %v %v %v", m.Kind(3, 1), m.Kind(3, 0), m.Kind(4, 3))
 	}
 }
 
+// TestBridgeRegroups checks that bridged flip-flops leave their block
+// and that a block held together only by them falls apart.
+func TestBridgeRegroups(t *testing.T) {
+	g := NewEdges(5)
+	g.Add(0, 1, Path) // 0 and 2 both read the internal 1
+	g.Add(2, 1, Path)
+	g.Add(0, 3, Structural)
+	g.Add(2, 4, Path)
+	m := g.Split()
+	if len(m.blocks) != 1 {
+		t.Fatalf("%d blocks before bridging, want 1", len(m.blocks))
+	}
+	Bridge(m, []netlist.FFID{1})
+	if len(m.blocks) != 2 || m.comp[1] != -1 || m.comp[0] == m.comp[2] {
+		t.Fatalf("after bridging: %d blocks, comp %v", len(m.blocks), m.comp)
+	}
+	if m.Kind(0, 3) != Structural || m.Kind(2, 4) != Path || m.CountDeps() != 2 {
+		t.Fatal("entries lost in regrouping")
+	}
+}
+
 func TestBridgeSelfLoop(t *testing.T) {
 	// k depends on itself; bridging must not corrupt others.
-	m := NewMatrix(3)
-	m.Set(1, 1, Path) // self loop on the internal FF
-	m.Set(1, 0, Path)
-	m.Set(2, 1, Path)
+	g := NewEdges(3)
+	g.Add(1, 1, Path) // self loop on the internal FF
+	g.Add(1, 0, Path)
+	g.Add(2, 1, Path)
+	m := g.Split()
 	Bridge(m, []netlist.FFID{1})
 	if m.Kind(2, 0) != Path {
 		t.Fatalf("bridged dep = %v, want path", m.Kind(2, 0))
@@ -299,7 +370,7 @@ func TestClosureAgainstFloyd(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 60; iter++ {
 		n := 3 + rng.Intn(10)
-		m := NewMatrix(n)
+		g := NewEdges(n)
 		ref := make([][]Kind, n)
 		for i := range ref {
 			ref[i] = make([]Kind, n)
@@ -307,9 +378,10 @@ func TestClosureAgainstFloyd(t *testing.T) {
 		for e := 0; e < n*2; e++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			k := Kind(1 + rng.Intn(2))
-			m.Set(i, j, k)
+			g.Add(i, j, k)
 			ref[i][j] = Max(ref[i][j], k)
 		}
+		m := g.Split()
 		Closure(m)
 		floydReference(ref)
 		for i := 0; i < n; i++ {
@@ -326,10 +398,11 @@ func TestClosureChainSemantics(t *testing.T) {
 	// a -> b (path), b -> c (str), c -> d (path):
 	// d on a must be structural; c on a structural; b on a path... note
 	// direction: Set(i, j) = i depends on j.
-	m := NewMatrix(4)
-	m.Set(1, 0, Path)
-	m.Set(2, 1, Structural)
-	m.Set(3, 2, Path)
+	g := NewEdges(4)
+	g.Add(1, 0, Path)
+	g.Add(2, 1, Structural)
+	g.Add(3, 2, Path)
+	m := g.Split()
 	Closure(m)
 	if m.Kind(1, 0) != Path {
 		t.Error("b on a must stay path")
@@ -351,10 +424,11 @@ func TestClosureChainSemantics(t *testing.T) {
 func TestClosureIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 12
-	m := NewMatrix(n)
+	g := NewEdges(n)
 	for e := 0; e < 30; e++ {
-		m.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
+		g.Add(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 	}
+	m := g.Split()
 	Closure(m)
 	snapshot := m.Clone()
 	Closure(m)
@@ -390,11 +464,13 @@ func TestComputeOnGeneratedCircuit(t *testing.T) {
 		t.Fatal("exact mode must issue SAT calls")
 	}
 	// Path entries are always a subset of structural entries.
-	for i := 0; i < res.M.N(); i++ {
-		p := res.M.PathDependsOn(i).Clone()
-		p.AndNot(res.M.DependsOn(i))
-		if p.Any() {
-			t.Fatal("path not subset of structural")
+	for _, b := range res.M.blocks {
+		for l := range b.path {
+			p := b.path[l].Clone()
+			p.AndNot(&b.str[l])
+			if p.Any() {
+				t.Fatal("path not subset of structural")
+			}
 		}
 	}
 }
@@ -479,10 +555,11 @@ func BenchmarkOneCycleExact(b *testing.B) {
 func BenchmarkClosure(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n := 400
-	base := NewMatrix(n)
+	g := NewEdges(n)
 	for e := 0; e < n*4; e++ {
-		base.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
+		g.Add(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 	}
+	base := g.Split()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := base.Clone()
@@ -585,12 +662,13 @@ func TestClosureMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for iter := 0; iter < 20; iter++ {
 		n := 6 + rng.Intn(6)
-		m1 := NewMatrix(n)
+		d1 := newDense(n)
 		for e := 0; e < n; e++ {
-			m1.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
+			d1.set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 		}
-		m2 := m1.Clone()
-		m2.Set(rng.Intn(n), rng.Intn(n), Path)
+		d2 := d1.clone()
+		d2.set(rng.Intn(n), rng.Intn(n), Path)
+		m1, m2 := d1.matrix(), d2.matrix()
 		Closure(m1)
 		Closure(m2)
 		for i := 0; i < n; i++ {
@@ -605,26 +683,26 @@ func TestClosureMonotone(t *testing.T) {
 
 func TestClosureKBounded(t *testing.T) {
 	// Chain 0 <- 1 <- 2 <- 3 <- 4 (Set(i, j): i depends on j).
-	m := NewMatrix(5)
+	m := newDense(5)
 	for i := 1; i < 5; i++ {
-		m.Set(i, i-1, Path)
+		m.set(i, i-1, Path)
 	}
-	k2 := m.Clone()
+	k2 := m.clone()
 	closureK(k2, 2)
-	if k2.Kind(2, 0) != Path {
+	if k2.kind(2, 0) != Path {
 		t.Fatal("2-chain missing at k=2")
 	}
-	if k2.Kind(3, 0) != None {
+	if k2.kind(3, 0) != None {
 		t.Fatal("3-chain must be absent at k=2")
 	}
-	k3 := m.Clone()
+	k3 := m.clone()
 	closureK(k3, 3)
-	if k3.Kind(3, 0) != Path || k3.Kind(4, 0) != None {
-		t.Fatalf("k=3 bounds wrong: %v %v", k3.Kind(3, 0), k3.Kind(4, 0))
+	if k3.kind(3, 0) != Path || k3.kind(4, 0) != None {
+		t.Fatalf("k=3 bounds wrong: %v %v", k3.kind(3, 0), k3.kind(4, 0))
 	}
-	full := m.Clone()
+	full := m.clone()
 	closureK(full, 10)
-	if full.Kind(4, 0) != Path {
+	if full.kind(4, 0) != Path {
 		t.Fatal("full chain missing at large k")
 	}
 }
@@ -633,17 +711,17 @@ func TestClosureKConvergesToClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 20; iter++ {
 		n := 4 + rng.Intn(8)
-		m := NewMatrix(n)
+		m := newDense(n)
 		for e := 0; e < 2*n; e++ {
-			m.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
+			m.set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 		}
-		bounded := m.Clone()
+		bounded := m.clone()
 		closureK(bounded, n+1) // chains longer than n repeat a node
-		fixpoint := m.Clone()
+		fixpoint := m.matrix()
 		Closure(fixpoint)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if bounded.Kind(i, j) != fixpoint.Kind(i, j) {
+				if bounded.kind(i, j) != fixpoint.Kind(i, j) {
 					t.Fatalf("iter %d: closureK(n+1) != Closure at (%d,%d)", iter, i, j)
 				}
 			}
@@ -654,18 +732,18 @@ func TestClosureKConvergesToClosure(t *testing.T) {
 func TestClosureKMonotoneInK(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	n := 8
-	m := NewMatrix(n)
+	m := newDense(n)
 	for e := 0; e < 2*n; e++ {
-		m.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
+		m.set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 	}
-	prev := m.Clone()
+	prev := m.clone()
 	closureK(prev, 1)
 	for k := 2; k <= 6; k++ {
-		cur := m.Clone()
+		cur := m.clone()
 		closureK(cur, k)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if cur.Kind(i, j) < prev.Kind(i, j) {
+				if cur.kind(i, j) < prev.kind(i, j) {
 					t.Fatalf("k=%d lost entry (%d,%d)", k, i, j)
 				}
 			}
@@ -680,15 +758,15 @@ func TestClosureKMonotoneInK(t *testing.T) {
 // iterative computation; Closure is the k → ∞ fixpoint). k <= 1 leaves
 // the matrix unchanged. It is the reference the bounded-closure tests
 // check against Closure.
-func closureK(m *Matrix, k int) {
+func closureK(m *denseMatrix, k int) {
 	if k <= 1 {
 		return
 	}
 	// Relax k-1 times: D_{t+1} = D_t ∪ D_1∘D_t, each step against a
 	// frozen snapshot so chains never exceed t+1 links.
-	base := m.Clone()
+	base := m.clone()
 	for step := 1; step < k; step++ {
-		prev := m.Clone()
+		prev := m.clone()
 		changed := false
 		for i := 0; i < m.n; i++ {
 			base.path[i].ForEach(func(via int) {
@@ -706,5 +784,4 @@ func closureK(m *Matrix, k int) {
 			break
 		}
 	}
-	rebuildReverse(m)
 }

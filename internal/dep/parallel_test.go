@@ -31,17 +31,18 @@ func TestParallelOneCycleMatchesSequential(t *testing.T) {
 		for _, mode := range []Mode{Exact, StructuralApprox} {
 			t.Run(name+"/"+mode.String(), func(t *testing.T) {
 				n := catalogCircuit(t, name, 0.15, 7)
-				seq := NewMatrix(n.NumFFs())
+				seqEdges := NewEdges(n.NumFFs())
 				var seqStats Stats
-				fillOneCycleSequential(seq, n, mode, &seqStats)
+				fillOneCycleSequential(seqEdges, n, mode, &seqStats)
+				seq := seqEdges.Split()
 				for _, workers := range []int{1, 3, 8} {
-					par := NewMatrix(n.NumFFs())
+					par := NewEdges(n.NumFFs())
 					var parStats Stats
 					err := FillOneCycleOpts(par, n, mode, &parStats, engine.Options{Workers: workers})
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
-					if !par.Equal(seq) {
+					if !par.Split().Equal(seq) {
 						t.Fatalf("workers=%d mode=%v: parallel matrix differs from sequential", workers, mode)
 					}
 					// The prefilter answers some queries by simulation,
@@ -63,47 +64,47 @@ func TestParallelOneCycleMatchesSequential(t *testing.T) {
 func TestParallelOneCycleRandomCircuits(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c"}, 4), seed)
-		seq := NewMatrix(g.N.NumFFs())
+		seq := NewEdges(g.N.NumFFs())
 		var seqStats Stats
 		fillOneCycleSequential(seq, g.N, Exact, &seqStats)
-		par := NewMatrix(g.N.NumFFs())
+		par := NewEdges(g.N.NumFFs())
 		var parStats Stats
 		if err := FillOneCycleOpts(par, g.N, Exact, &parStats, engine.Options{Workers: 4}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !par.Equal(seq) {
+		if !par.Split().Equal(seq.Split()) {
 			t.Fatalf("seed %d: parallel matrix differs from sequential", seed)
 		}
 	}
 }
 
 // TestOneCycleCancellation checks that a cancelled context stops the
-// computation with the context's error and leaves the matrix untouched.
+// computation with the context's error and leaves the entry list untouched.
 func TestOneCycleCancellation(t *testing.T) {
 	n := catalogCircuit(t, "BasicSCB", 0.15, 7)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the run starts
-	m := NewMatrix(n.NumFFs())
+	g := NewEdges(n.NumFFs())
 	var stats Stats
-	err := FillOneCycleOpts(m, n, Exact, &stats, engine.Options{Context: ctx, Workers: 2})
+	err := FillOneCycleOpts(g, n, Exact, &stats, engine.Options{Context: ctx, Workers: 2})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if m.CountDeps() != 0 {
-		t.Fatalf("cancelled run wrote %d entries into the matrix", m.CountDeps())
+	if len(g.e) != 0 {
+		t.Fatalf("cancelled run added %d entries", len(g.e))
 	}
 
 	// An already-expired deadline behaves the same.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer dcancel()
-	m2 := NewMatrix(n.NumFFs())
-	err = FillOneCycleOpts(m2, n, Exact, &stats, engine.Options{Context: dctx})
+	g2 := NewEdges(n.NumFFs())
+	err = FillOneCycleOpts(g2, n, Exact, &stats, engine.Options{Context: dctx})
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if m2.CountDeps() != 0 {
-		t.Fatal("expired run wrote into the matrix")
+	if len(g2.e) != 0 {
+		t.Fatal("expired run added entries")
 	}
 }
 
@@ -111,11 +112,10 @@ func TestOneCycleCancellation(t *testing.T) {
 // miter encoding per (root, leaf) pair.
 func BenchmarkOneCycleSequential(b *testing.B) {
 	g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c", "d"}, 8), 4)
-	m := NewMatrix(g.N.NumFFs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st Stats
-		fillOneCycleSequential(m, g.N, Exact, &st)
+		fillOneCycleSequential(NewEdges(g.N.NumFFs()), g.N, Exact, &st)
 	}
 }
 
@@ -124,11 +124,10 @@ func BenchmarkOneCycleSequential(b *testing.B) {
 // queries per leaf, fanned over the worker pool.
 func BenchmarkOneCycleParallel(b *testing.B) {
 	g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c", "d"}, 8), 4)
-	m := NewMatrix(g.N.NumFFs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st Stats
-		if err := FillOneCycleOpts(m, g.N, Exact, &st, engine.Options{}); err != nil {
+		if err := FillOneCycleOpts(NewEdges(g.N.NumFFs()), g.N, Exact, &st, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,24 +17,25 @@ func TestSimFilterMatchesPureSAT(t *testing.T) {
 	for _, name := range []string{"BasicSCB", "TreeFlat", "MBIST_1_5_5"} {
 		t.Run(name, func(t *testing.T) {
 			n := catalogCircuit(t, name, 0.15, 7)
-			pure := NewMatrix(n.NumFFs())
+			pureEdges := NewEdges(n.NumFFs())
 			var pureStats Stats
-			err := FillOneCycleCfg(pure, n, Exact, &pureStats, engine.Options{Workers: 2},
+			err := FillOneCycleCfg(pureEdges, n, Exact, &pureStats, engine.Options{Workers: 2},
 				OneCycleConfig{DisableSimFilter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			pure := pureEdges.Split()
 			if pureStats.SimResolved != 0 || pureStats.SimLanes != 0 {
 				t.Fatalf("disabled prefilter still recorded sim work: %+v", pureStats)
 			}
 			for _, workers := range []int{1, 3, 8} {
-				filt := NewMatrix(n.NumFFs())
+				filt := NewEdges(n.NumFFs())
 				var filtStats Stats
 				err := FillOneCycleOpts(filt, n, Exact, &filtStats, engine.Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				if !filt.Equal(pure) {
+				if !filt.Split().Equal(pure) {
 					t.Fatalf("workers=%d: prefiltered matrix differs from pure-SAT matrix", workers)
 				}
 				// Every leaf is classified exactly once, by simulation or
@@ -62,20 +63,21 @@ func TestSimFilterMatchesPureSAT(t *testing.T) {
 func TestSimFilterRandomCircuits(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c"}, 4), seed)
-		pure := NewMatrix(g.N.NumFFs())
+		pureEdges := NewEdges(g.N.NumFFs())
 		var pureStats Stats
-		if err := FillOneCycleCfg(pure, g.N, Exact, &pureStats, engine.Options{Workers: 3},
+		if err := FillOneCycleCfg(pureEdges, g.N, Exact, &pureStats, engine.Options{Workers: 3},
 			OneCycleConfig{DisableSimFilter: true}); err != nil {
 			t.Fatal(err)
 		}
+		pure := pureEdges.Split()
 		var firstSim int
 		for _, workers := range []int{1, 4} {
-			filt := NewMatrix(g.N.NumFFs())
+			filt := NewEdges(g.N.NumFFs())
 			var filtStats Stats
 			if err := FillOneCycleOpts(filt, g.N, Exact, &filtStats, engine.Options{Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
-			if !filt.Equal(pure) {
+			if !filt.Split().Equal(pure) {
 				t.Fatalf("seed %d workers %d: matrices differ", seed, workers)
 			}
 			if workers == 1 {

@@ -234,7 +234,7 @@ func RunBenchmarkCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Re
 			t1 := time.Now()
 			pureDone := ceng.Stage("pure-resolve").Start()
 			pureSpan := ceng.StartSpan("pure-resolve")
-			pres, err := pure.Resolve(run, spec)
+			pres, err := pure.ResolveOpts(run, spec, ceng)
 			pureSpan.End()
 			pureDone()
 			pureTime := time.Since(t1)
@@ -293,6 +293,11 @@ func RunBenchmarkCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Re
 	}
 	close(jobs)
 	wg.Wait()
+	if firstErr == nil {
+		// A resolution cut short by cancellation is counted as a failed
+		// run and ends its circuit without an error of its own.
+		firstErr = ctx.Err()
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -525,7 +530,7 @@ func RunApproxCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Appro
 			if len(ea.ViolatingRegisters(runE)) == 0 && len(aa.ViolatingRegisters(runE)) == 0 {
 				continue
 			}
-			pe, err := pure.Resolve(runE, spec)
+			pe, err := pure.ResolveOpts(runE, spec, eng)
 			if err != nil {
 				continue
 			}
@@ -534,7 +539,7 @@ func RunApproxCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Appro
 				continue
 			}
 			runA := nw.Clone()
-			pa, err := pure.Resolve(runA, spec)
+			pa, err := pure.ResolveOpts(runA, spec, eng)
 			if err != nil {
 				continue
 			}
@@ -546,6 +551,9 @@ func RunApproxCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Appro
 			res.ExactChanges += float64(len(pe.Changes) + len(he.Changes))
 			res.ApproxChanges += float64(len(pa.Changes) + len(ha.Changes))
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/bitset"
 	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/netlist"
@@ -40,11 +39,10 @@ type Analysis struct {
 	Spec    *secspec.Spec
 	Mode    dep.Mode
 
-	// Base is the bridged 1-cycle dependency matrix over the combined
-	// index space: circuit flip-flops first, then scan flip-flops.
-	Base *dep.Matrix
-	// Clo is the multi-cycle closure of Base.
-	Clo *dep.Matrix
+	// clo is the multi-cycle closure of the bridged 1-cycle dependencies
+	// over the combined index space (circuit flip-flops first, then scan
+	// flip-flops), stored per dependency component.
+	clo *dep.Matrix
 	// Denoted marks combined indices that survived bridging.
 	Denoted []bool
 	// DepStats carries the dependency computation bookkeeping.
@@ -53,12 +51,11 @@ type Analysis struct {
 	// flip-flops instead of being computed (Section III-A subroutine 1).
 	PresetDeps int
 
-	// pathIn and pathOut are Base's path relation as sparse rows over
-	// the denoted nodes, built once: row n of pathIn lists the denoted
-	// nodes n path-depends on, row n of pathOut the denoted nodes that
-	// path-depend on n, both ascending. Rows of bridged nodes are empty.
-	// Propagation and the culprit search read these instead of scanning
-	// Base's dense rows, which hold a couple of edges in dozens of words.
+	// pathIn and pathOut are the bridged 1-cycle path relation as sparse
+	// rows over the denoted nodes, built once: row n of pathIn lists the
+	// denoted nodes n path-depends on, row n of pathOut the denoted nodes
+	// that path-depend on n, both ascending. Rows of bridged nodes are
+	// empty. Propagation and the culprit search read these.
 	pathIn, pathOut csr
 	// headReg[n] is the register whose first scan flip-flop combined
 	// index n is, or -1.
@@ -107,9 +104,12 @@ func NewAnalysis(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.F
 // analysis: circuit 1-cycle dependencies (SAT-classified in Exact mode,
 // fanned out over the engine's worker pool), preset register chains,
 // capture/update links, bridging over the internal flip-flops, and the
-// multi-cycle closure. Per-stage wall times and query counts are
-// reported through opts.Stats; cancellation via opts.Context is honored
-// between SAT queries and pipeline stages, returning the context error.
+// multi-cycle closure. The edges are collected first and then split
+// into dependency components, which bridging and the closure process
+// independently over the engine's worker pool. Per-stage wall times and
+// query counts are reported through opts.Stats; cancellation via
+// opts.Context is honored between SAT queries, components and pipeline
+// stages, returning the context error.
 func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.FFID, spec *secspec.Spec, mode dep.Mode, opts engine.Options) (*Analysis, error) {
 	a := &Analysis{Circuit: circuit, Spec: spec, Mode: mode, eng: opts, cache: &propCache{}}
 	a.nCirc = circuit.NumFFs()
@@ -136,8 +136,8 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 
 	a.DepStats.Mode = mode
 	a.DepStats.FFsTotal = a.total
-	m := dep.NewMatrix(a.total)
-	if err := dep.FillOneCycleOpts(m, circuit, mode, &a.DepStats, opts); err != nil {
+	g := dep.NewEdges(a.total)
+	if err := dep.FillOneCycleOpts(g, circuit, mode, &a.DepStats, opts); err != nil {
 		return nil, err
 	}
 
@@ -146,7 +146,7 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	for r := range nw.Registers {
 		for j := 1; j < a.regLen[r]; j++ {
 			for i := 0; i < j; i++ {
-				m.Set(a.regOffset[r]+j, a.regOffset[r]+i, dep.Path)
+				g.Add(a.regOffset[r]+j, a.regOffset[r]+i, dep.Path)
 				a.PresetDeps++
 			}
 		}
@@ -155,14 +155,15 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	for r := range nw.Registers {
 		reg := &nw.Registers[r]
 		for i := 0; i < reg.Len; i++ {
-			if g := reg.Capture[i]; g != netlist.NoFF {
-				m.Set(a.regOffset[r]+i, int(g), dep.Path)
+			if c := reg.Capture[i]; c != netlist.NoFF {
+				g.Add(a.regOffset[r]+i, int(c), dep.Path)
 			}
 			if f := reg.Update[i]; f != netlist.NoFF {
-				m.Set(int(f), a.regOffset[r]+i, dep.Path)
+				g.Add(int(f), a.regOffset[r]+i, dep.Path)
 			}
 		}
 	}
+	m := g.Split()
 	a.DepStats.DepsBeforeBridge = m.CountDeps()
 	if err := opts.Err(); err != nil {
 		return nil, err
@@ -171,29 +172,20 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	bridgeDone := opts.Stage("bridge").Start()
 	bridgeSpan := opts.StartSpan("bridge", obs.Int("internal_ffs", int64(len(internal))),
 		obs.Int("deps_before", int64(a.DepStats.DepsBeforeBridge)))
-	dep.Bridge(m, internal)
+	err := dep.BridgeOpts(m, internal, opts)
 	bridgeSpan.End()
 	bridgeDone()
+	if err != nil {
+		return nil, err
+	}
 	a.DepStats.BridgedFFs = len(internal)
 	a.DepStats.FFsDenoted = a.total - len(internal)
 	a.DepStats.DepsAfterBridge = m.CountDeps()
-	a.Base = m
 	opts.Logf("bridge: %d internal FFs eliminated, %d -> %d deps",
 		len(internal), a.DepStats.DepsBeforeBridge, a.DepStats.DepsAfterBridge)
 	if err := opts.Err(); err != nil {
 		return nil, err
 	}
-
-	closureDone := opts.Stage("closure").Start()
-	a.Clo = m.Clone()
-	if err := dep.ClosureOpts(a.Clo, opts); err != nil {
-		return nil, err
-	}
-	closureDone()
-	a.DepStats.DepsMultiCycle = a.Clo.CountDeps()
-	a.DepStats.ClosurePathDeps = a.Clo.CountPath()
-	opts.Logf("closure: %d multi-cycle deps (%d path)",
-		a.DepStats.DepsMultiCycle, a.DepStats.ClosurePathDeps)
 
 	a.Denoted = make([]bool, a.total)
 	for i := range a.Denoted {
@@ -202,7 +194,20 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	for _, k := range internal {
 		a.Denoted[k] = false
 	}
-	a.buildViews()
+	// The sparse views read the bridged relation, which the closure
+	// then replaces in place.
+	a.buildViews(m)
+
+	closureDone := opts.Stage("closure").Start()
+	if err := dep.ClosureOpts(m, opts); err != nil {
+		return nil, err
+	}
+	closureDone()
+	a.clo = m
+	a.DepStats.DepsMultiCycle = m.CountDeps()
+	a.DepStats.ClosurePathDeps = m.CountPath()
+	opts.Logf("closure: %d multi-cycle deps (%d path)",
+		a.DepStats.DepsMultiCycle, a.DepStats.ClosurePathDeps)
 	if err := opts.Err(); err != nil {
 		return nil, err
 	}
@@ -216,31 +221,49 @@ type csr struct {
 
 func (c *csr) row(n int) []int32 { return c.adj[c.off[n]:c.off[n+1]] }
 
-// buildViews derives the sparse path rows and the per-node head
-// register from Base and Denoted.
-func (a *Analysis) buildViews() {
+// transpose returns the reverse adjacency of c over the same nodes.
+// Rows come out ascending, since sources are visited in order.
+func (c *csr) transpose() csr {
+	n := len(c.off) - 1
+	t := csr{off: make([]int32, n+1), adj: make([]int32, len(c.adj))}
+	for _, u := range c.adj {
+		t.off[u+1]++
+	}
+	for u := 0; u < n; u++ {
+		t.off[u+1] += t.off[u]
+	}
+	next := slices.Clone(t.off[:n])
+	for r := 0; r < n; r++ {
+		for _, u := range c.row(r) {
+			t.adj[next[u]] = int32(r)
+			next[u]++
+		}
+	}
+	return t
+}
+
+// buildViews derives the sparse path rows from the bridged matrix m and
+// Denoted, and the per-node head register.
+func (a *Analysis) buildViews(m *dep.Matrix) {
 	a.nDenoted = 0
 	for _, d := range a.Denoted {
 		if d {
 			a.nDenoted++
 		}
 	}
-	fill := func(row func(int) *bitset.Set) csr {
-		c := csr{off: make([]int32, a.total+1)}
-		for n := 0; n < a.total; n++ {
-			if a.Denoted[n] {
-				row(n).ForEach(func(u int) {
-					if a.Denoted[u] {
-						c.adj = append(c.adj, int32(u))
-					}
-				})
-			}
-			c.off[n+1] = int32(len(c.adj))
+	in := csr{off: make([]int32, a.total+1)}
+	for n := 0; n < a.total; n++ {
+		if a.Denoted[n] {
+			m.ForEachPath(n, func(u int) {
+				if a.Denoted[u] {
+					in.adj = append(in.adj, int32(u))
+				}
+			})
 		}
-		return c
+		in.off[n+1] = int32(len(in.adj))
 	}
-	a.pathIn = fill(a.Base.PathDependsOn)
-	a.pathOut = fill(a.Base.PathDependents)
+	a.pathIn = in
+	a.pathOut = in.transpose()
 	a.headReg = make([]int32, a.total)
 	for n := range a.headReg {
 		a.headReg[n] = -1
@@ -263,6 +286,11 @@ func (a *Analysis) WithSpec(spec *secspec.Spec) *Analysis {
 	cp.cache = &propCache{}
 	return &cp
 }
+
+// Kind returns the multi-cycle dependency of combined index dst on src:
+// Path when data can flow functionally from src to dst over the fixed
+// infrastructure, Structural when only a structural chain connects them.
+func (a *Analysis) Kind(dst, src int) dep.Kind { return a.clo.Kind(dst, src) }
 
 // Total returns the size of the combined index space.
 func (a *Analysis) Total() int { return a.total }
@@ -315,7 +343,7 @@ func (a *Analysis) InsecureLogic() []InsecurePair {
 			continue
 		}
 		mi := a.nodeModule[i]
-		a.Clo.PathDependsOn(i).ForEach(func(j int) {
+		a.clo.ForEachPath(i, func(j int) {
 			if !a.Denoted[j] {
 				return
 			}

@@ -51,18 +51,18 @@ func TestExampleDependencies(t *testing.T) {
 	// After bridging IF1/IF2, F7 path-depends on F5 and only
 	// structurally on F6 (the XOR reconvergence).
 	f7, f5, f6 := int(e.F[6]), int(e.F[4]), int(e.F[5])
-	if got := a.Clo.Kind(f7, f5); got != dep.Path {
+	if got := a.Kind(f7, f5); got != dep.Path {
 		t.Errorf("F7 on F5 = %v, want path", got)
 	}
-	if got := a.Clo.Kind(f7, f6); got != dep.Structural {
+	if got := a.Kind(f7, f6); got != dep.Structural {
 		t.Errorf("F7 on F6 = %v, want structural", got)
 	}
 	// F9 likewise (Figure 3).
 	f9 := int(e.F[8])
-	if got := a.Clo.Kind(f9, f5); got != dep.Path {
+	if got := a.Kind(f9, f5); got != dep.Path {
 		t.Errorf("F9 on F5 = %v, want path", got)
 	}
-	if got := a.Clo.Kind(f9, f6); got != dep.Structural {
+	if got := a.Kind(f9, f6); got != dep.Structural {
 		t.Errorf("F9 on F6 = %v, want structural", got)
 	}
 	// Internal flip-flops are bridged away.
@@ -72,7 +72,7 @@ func TestExampleDependencies(t *testing.T) {
 		}
 	}
 	// Scan chains are preset: SF2 path-depends on SF1.
-	if got := a.Base.Kind(a.ScanIndex(0, 1), a.ScanIndex(0, 0)); got != dep.Path {
+	if got := a.Kind(a.ScanIndex(0, 1), a.ScanIndex(0, 0)); got != dep.Path {
 		t.Errorf("preset SF2 on SF1 = %v", got)
 	}
 	if a.PresetDeps == 0 {

@@ -365,27 +365,82 @@ func BenchmarkResolveHybridFlexScan(b *testing.B) {
 	}
 }
 
-// TestSparseViewsMatchBase checks the sparse path rows against Base:
-// row n of pathIn (pathOut) lists exactly the denoted members of Base's
-// dense path-depends-on (path-dependents) row, ascending, for denoted
-// n and nothing for bridged n; headReg agrees with IsScanNode.
+// denseBasePath is the dense oracle of the sparse views: it rebuilds the
+// fixed infrastructure's 1-cycle dependencies of the analysis (circuit,
+// preset register chains, capture/update links), keeps the path
+// relation as one n-bit row per combined index, and bridges the
+// internal flip-flops there one at a time. A bridged path entry needs
+// path links on both sides, so the path relation bridges on its own.
+func denseBasePath(tb testing.TB, a *Analysis, nw *rsn.Network) []*bitset.Set {
+	tb.Helper()
+	g := dep.NewEdges(a.Total())
+	var st dep.Stats
+	if err := dep.FillOneCycleOpts(g, a.Circuit, a.Mode, &st, engine.Options{}); err != nil {
+		tb.Fatal(err)
+	}
+	for r := range nw.Registers {
+		reg := &nw.Registers[r]
+		for j := 0; j < reg.Len; j++ {
+			for i := 0; i < j; i++ {
+				g.Add(a.ScanIndex(r, j), a.ScanIndex(r, i), dep.Path)
+			}
+			if c := reg.Capture[j]; c != netlist.NoFF {
+				g.Add(a.ScanIndex(r, j), int(c), dep.Path)
+			}
+			if f := reg.Update[j]; f != netlist.NoFF {
+				g.Add(int(f), a.ScanIndex(r, j), dep.Path)
+			}
+		}
+	}
+	m := g.Split()
+	rows := make([]*bitset.Set, a.Total())
+	for i := range rows {
+		rows[i] = bitset.New(a.Total())
+		for j := range rows {
+			if m.Kind(i, j) == dep.Path {
+				rows[i].Set(j)
+			}
+		}
+	}
+	for _, kf := range a.InternalFFs() {
+		k := int(kf)
+		for d, row := range rows {
+			if d != k && row.Has(k) {
+				row.Or(rows[k])
+			}
+		}
+		for _, row := range rows {
+			row.Clear(k)
+		}
+		rows[k].Reset()
+	}
+	return rows
+}
+
+// TestSparseViewsMatchBase checks the sparse path rows against the dense
+// oracle of the bridged path relation: row n of pathIn (pathOut) lists
+// exactly the denoted nodes n path-depends on (that path-depend on n),
+// ascending, for denoted n and nothing for bridged n; headReg agrees
+// with IsScanNode.
 func TestSparseViewsMatchBase(t *testing.T) {
 	for _, tc := range differentialCases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, _ := tc.build(t)
-			dense := func(row *bitset.Set) []int32 {
-				var out []int32
-				row.ForEach(func(u int) {
-					if a.Denoted[u] {
-						out = append(out, int32(u))
-					}
-				})
-				return out
-			}
+			a, nw := tc.build(t)
+			rows := denseBasePath(t, a, nw)
 			for n := 0; n < a.Total(); n++ {
 				var wantIn, wantOut []int32
 				if a.Denoted[n] {
-					wantIn, wantOut = dense(a.Base.PathDependsOn(n)), dense(a.Base.PathDependents(n))
+					for u := 0; u < a.Total(); u++ {
+						if !a.Denoted[u] {
+							continue
+						}
+						if rows[n].Has(u) {
+							wantIn = append(wantIn, int32(u))
+						}
+						if rows[u].Has(n) {
+							wantOut = append(wantOut, int32(u))
+						}
+					}
 				}
 				if got := a.pathIn.row(n); !slices.Equal(got, wantIn) {
 					t.Fatalf("pathIn row %d = %v, want %v", n, got, wantIn)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/engine"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -161,16 +162,28 @@ type Result struct {
 // terminating scan-in fallback candidate is used.
 func maxRounds(nw *rsn.Network) int { return 4*len(nw.Registers) + 16 }
 
-// Resolve repeatedly finds and repairs pure-path violations until the
-// network is pure-path secure. It mutates nw and returns the applied
+// Resolve is ResolveOpts under the default engine configuration (no
+// cancellation).
+func Resolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
+	return ResolveOpts(nw, spec, engine.Options{})
+}
+
+// ResolveOpts repeatedly finds and repairs pure-path violations until
+// the network is pure-path secure. It mutates nw and returns the applied
 // changes. The current wiring's attributes are propagated once per
 // round and reused for candidate filtering and the before count —
-// only candidate trials re-propagate, all in one reused trial.
-func Resolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
+// only candidate trials re-propagate, all in one reused trial. The
+// engine context is checked once per round; on cancellation the changes
+// applied so far are returned with the context error.
+func ResolveOpts(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Result, error) {
+	ctx := opts.Ctx()
 	res := &Result{}
 	var t trial
 	first := true
 	for round := 0; ; round++ {
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
 		p := Propagate(nw, spec)
 		if first {
 			res.ViolatingBefore = len(p.Violating)
